@@ -3,8 +3,9 @@
    - table1.gc-collect           : a full semi-space collection (Table 1's
                                    GC column kernel);
    - table1.transformer-call     : one synchronous jvolve-style method
-                                   invocation (Table 1's transformer column
-                                   kernel);
+                                   invocation (what a custom transformer
+                                   costs; Table 1's default transformers
+                                   run as copy plans);
    - fig5.request-roundtrip      : one scheduler round of the loaded web
                                    server (Figure 5's unit of work);
    - tables234.upt-diff          : one UPT diff of two real releases;

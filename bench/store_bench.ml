@@ -100,7 +100,7 @@ let populate vm ~n =
   let payload = VM.State.alloc_string vm "bench-payload" in
   let heap = vm.VM.State.heap in
   let buckets = VM.Value.to_ref (VM.State.jtoc_get vm buckets_slot) in
-  let nb = VM.Value.to_int (VM.Heap.array_length heap buckets) in
+  let nb = VM.Heap.array_length heap buckets in
   for i = 0 to n - 1 do
     let key = 1_000_000 + i in
     let o = VM.State.alloc_object vm rec_cls in

@@ -13,9 +13,12 @@
    The paper's absolute numbers came from a 2.4 GHz Core 2 Quad; ours come
    from this machine's OCaml implementation of the same algorithm.  The
    claims that must reproduce are the shapes: GC time linear in live
-   objects, transformer time linear in the updated fraction and steeper
-   than the GC slope, and the fully-updated total roughly 4x the
-   0%-updated total. *)
+   objects and transformer time linear in the updated fraction.  The
+   paper's transformer slope is steeper than its GC slope, for a
+   fully-updated total roughly 4x the 0%-updated total; here the default
+   transformers run as copy plans, not method calls, so the transformer
+   slope falls below the GC slope and the shape check prints false
+   (EXPERIMENTS.md). *)
 
 module VM = Jv_vm
 module J = Jvolve_core

@@ -63,7 +63,12 @@ let stubs_for spec : CF.Cls.t list =
 
 (* --- default transformer source ---------------------------------------- *)
 
-let default_object_body spec ~(cls : string) : string =
+(* The fields a default [jvolveObject] copies: every flattened new-layout
+   field whose name and (mapped) type match the first old field of that
+   name.  New or changed fields are left out and keep their default
+   value.  The generated source and the updater's copy plans are both
+   built from this list. *)
+let default_copied_fields spec ~(cls : string) : string list =
   let oldp = CF.Cls.program_of_list spec.Spec.old_program in
   let newp = CF.Cls.program_of_list spec.Spec.new_program in
   match (CF.Cls.find_class oldp cls, CF.Cls.find_class newp cls) with
@@ -78,12 +83,20 @@ let default_object_body spec ~(cls : string) : string =
       |> List.filter_map (fun (f : CF.Cls.field) ->
              match List.assoc_opt f.CF.Cls.fd_name old_fields with
              | Some oty when CF.Types.equal_ty oty f.CF.Cls.fd_ty ->
-                 Some
-                   (Printf.sprintf "    to.%s = from.%s;" f.CF.Cls.fd_name
-                      f.CF.Cls.fd_name)
-             | _ -> None (* new or changed field: keep the default value *))
-      |> String.concat "\n"
-  | _ -> ""
+                 Some f.CF.Cls.fd_name
+             | _ -> None)
+  | _ -> []
+
+let default_object_body spec ~(cls : string) : string =
+  default_copied_fields spec ~cls
+  |> List.map (fun f -> Printf.sprintf "    to.%s = from.%s;" f f)
+  |> String.concat "\n"
+
+(* Whether [cls]'s object transformer is the UPT default: no hand-written
+   transformer source and no override for the class. *)
+let has_default_object_transformer spec ~(cls : string) =
+  spec.Spec.transformer_src = None
+  && not (List.mem_assoc cls spec.Spec.object_overrides)
 
 (* The transformer methods an update's layout closure requires: the
    contract [generate_source] fulfils and admission control checks

@@ -35,6 +35,17 @@ val transformer_method_sigs : Spec.t -> (string * CF.Types.ty list) list
     for this update: a [jvolveClass]/[jvolveObject] pair per
     layout-closure class. *)
 
+val default_copied_fields : Spec.t -> cls:string -> string list
+(** The fields [cls]'s default [jvolveObject] copies, in new-layout
+    order: those whose name and mapped type match the first old field of
+    that name.  Every other new field keeps its default value.  Both the
+    generated source and the updater's {!Copy_plan}s are built from this
+    list. *)
+
+val has_default_object_transformer : Spec.t -> cls:string -> bool
+(** No hand-written transformer source and no object override for
+    [cls]: its [jvolveObject] is the UPT default. *)
+
 val generate_source : Spec.t -> string
 (** The [JvolveTransformers] MiniJava source: defaults with the spec's
     overrides spliced in. *)

@@ -269,16 +269,29 @@ let invalidate_stale_code vm (r : Safepoint.restricted) : int =
 
 (* --- transformer phase --------------------------------------------------- *)
 
+(* How the objects of one (new class, old class) pair are transformed. *)
+type object_transformer =
+  | Plan of Copy_plan.t (* the UPT default, compiled to a field copy *)
+  | Method of Rt.rt_method (* anything the user wrote: interpreted *)
+
+(* Object-transformer resolution, shared by the eager and lazy drivers.
+   Cached per (new cid, old cid): the paper's suggested "caching the
+   lookup" optimization for the reflective dispatch.  The last answer is
+   kept apart, so a run of objects of one class pair skips the hash. *)
+type resolver = {
+  rs_spec : Spec.t;
+  rs_rc : Rt.rt_class; (* the installed transformer class *)
+  rs_cache : (int * int, object_transformer) Hashtbl.t;
+  mutable rs_last : int * int * object_transformer;
+}
+
 type transform_ctx = {
   log : int array; (* flattened (old, new) pairs; registered as GC roots *)
   n_pairs : int;
   status : int array; (* 0 = pending, 1 = in progress, 2 = done *)
   mutable index : (int, int) Hashtbl.t; (* new addr -> pair index *)
   mutable index_gc_count : int;
-  transformer_rc : Rt.rt_class;
-  (* (new cid, old cid) -> jvolveObject method: the paper's suggested
-     "caching the lookup" optimization for the reflective dispatch *)
-  method_cache : (int * int, Rt.rt_method) Hashtbl.t;
+  resolver : resolver;
   carrier : State.vthread; (* reused for every transformer invocation *)
   sandbox : State.sandbox; (* fuel accounting + write restriction *)
 }
@@ -353,6 +366,9 @@ let build_index ctx vm =
   ctx.index <- h;
   ctx.index_gc_count <- vm.State.heap.Heap.gc_count
 
+(* The index serves only the Jvolve.transform native, so it is built on
+   its first call (index_gc_count starts at -1) and again after any
+   collection moved the heap. *)
 let refresh_index ctx vm =
   if vm.State.heap.Heap.gc_count <> ctx.index_gc_count then build_index ctx vm
 
@@ -362,6 +378,80 @@ let find_transformer_method (transformer_rc : Rt.rt_class) ~name ~params =
          String.equal m.Rt.m_name name
          && List.length m.Rt.m_sig.CF.Types.params = List.length params
          && List.for_all2 CF.Types.equal_ty m.Rt.m_sig.CF.Types.params params)
+
+let make_resolver spec rc =
+  {
+    rs_spec = spec;
+    rs_rc = rc;
+    rs_cache = Hashtbl.create 8;
+    rs_last = (-1, -1, Plan (Copy_plan.of_pairs []));
+  }
+
+let jvolve_object_method rs ~(new_cls : Rt.rt_class) ~(old_cls : Rt.rt_class) =
+  find_transformer_method rs.rs_rc ~name:"jvolveObject"
+    ~params:[ CF.Types.TRef new_cls.Rt.name; CF.Types.TRef old_cls.Rt.name ]
+
+let resolve_object_transformer vm rs ~new_cid ~old_cid =
+  let last_new, last_old, last = rs.rs_last in
+  if last_new = new_cid && last_old = old_cid then last
+  else begin
+    let t =
+      match Hashtbl.find_opt rs.rs_cache (new_cid, old_cid) with
+      | Some t -> t
+      | None ->
+          let new_cls = Rt.class_by_id vm.State.reg new_cid in
+          let old_cls = Rt.class_by_id vm.State.reg old_cid in
+          let t =
+            match
+              Copy_plan.for_default rs.rs_spec ~dst:new_cls ~src:old_cls
+            with
+            | Some p -> Plan p
+            | None -> (
+                match jvolve_object_method rs ~new_cls ~old_cls with
+                | Some m -> Method m
+                | None ->
+                    uerr "no jvolveObject(%s, %s) in transformer class"
+                      new_cls.Rt.name old_cls.Rt.name)
+          in
+          Hashtbl.replace rs.rs_cache (new_cid, old_cid) t;
+          t
+    in
+    rs.rs_last <- (new_cid, old_cid, t);
+    t
+  end
+
+(* Where an object transformer failed.  Built only on the failure path:
+   a plan names the generated method it stands in for. *)
+let object_site vm rs t ~new_cid ~old_cid ~new_addr =
+  let new_cls = Rt.class_by_id vm.State.reg new_cid in
+  let m =
+    match t with
+    | Method m -> Some m
+    | Plan _ ->
+        jvolve_object_method rs ~new_cls
+          ~old_cls:(Rt.class_by_id vm.State.reg old_cid)
+  in
+  {
+    ts_method =
+      (match m with
+      | Some m -> Rt.method_qname rs.rs_rc m
+      | None -> "jvolveObject");
+    ts_class = new_cls.Rt.name;
+    ts_object = new_addr;
+  }
+
+(* Run a copy plan after the invocation's fault consult.  The fuel check
+   stands in for the interpreter's first instruction, so a
+   [transformer.loop] fault ends in the same typed abort as in an
+   interpreted default transformer; the copy itself writes only the
+   new-layout object, which the sandbox always allows. *)
+let run_plan vm (sb : State.sandbox) p ~new_addr ~old_addr =
+  if sb.State.sb_steps >= sb.State.sb_fuel then
+    raise
+      (Interp.Trap
+         (Printf.sprintf "transformer fuel exhausted after %d steps"
+            sb.State.sb_steps));
+  Copy_plan.run vm.State.heap p ~dst:new_addr ~src:old_addr
 
 let rec run_pair vm ctx i =
   match ctx.status.(i) with
@@ -376,60 +466,35 @@ let rec run_pair vm ctx i =
       and new_addr = Value.to_ref ctx.log.((2 * i) + 1) in
       let new_cid = Heap.class_id vm.State.heap new_addr in
       let old_cid = Heap.class_id vm.State.heap old_addr in
-      let m =
-        match Hashtbl.find_opt ctx.method_cache (new_cid, old_cid) with
-        | Some m -> m
-        | None -> (
-            let new_cls = Rt.class_by_id vm.State.reg new_cid in
-            let old_cls = Rt.class_by_id vm.State.reg old_cid in
-            match
-              find_transformer_method ctx.transformer_rc ~name:"jvolveObject"
-                ~params:
-                  [
-                    CF.Types.TRef new_cls.Rt.name;
-                    CF.Types.TRef old_cls.Rt.name;
-                  ]
-            with
-            | Some m ->
-                Hashtbl.replace ctx.method_cache (new_cid, old_cid) m;
-                m
-            | None ->
-                uerr "no jvolveObject(%s, %s) in transformer class"
-                  new_cls.Rt.name old_cls.Rt.name)
-      in
-      let site =
-        {
-          ts_method = Rt.method_qname ctx.transformer_rc m;
-          ts_class = (Rt.class_by_id vm.State.reg new_cid).Rt.name;
-          ts_object = new_addr;
-        }
-      in
-      (* reuse the carrier thread when it is free; recursive transforms
-         (via the Jvolve.transform native) arrive while the carrier is
-         mid-call and need their own thread *)
-      let invoke m args =
-        if ctx.carrier.State.frames = [] then Interp.call_on vm ctx.carrier m args
-        else Interp.call_sync vm m args
-      in
+      let t = resolve_object_transformer vm ctx.resolver ~new_cid ~old_cid in
       let sb = ctx.sandbox in
       (* fresh fuel per invocation; writes restricted to the object set *)
       let saved_guard = sb.State.sb_guard in
       sb.State.sb_steps <- 0;
       (try
          consult_transformer_faults vm sb ~bad_target:(Some old_addr);
-         sb.State.sb_guard <- true;
-         ignore
-           (invoke m [| Value.of_ref new_addr; Value.of_ref old_addr |]);
-         sb.State.sb_guard <- saved_guard
+         match t with
+         | Plan p -> run_plan vm sb p ~new_addr ~old_addr
+         | Method m ->
+             sb.State.sb_guard <- true;
+             let args = [| Value.of_ref new_addr; Value.of_ref old_addr |] in
+             (* reuse the carrier thread when it is free; recursive
+                transforms (via the Jvolve.transform native) arrive while
+                the carrier is mid-call and need their own thread *)
+             ignore
+               (if ctx.carrier.State.frames = [] then
+                  Interp.call_on vm ctx.carrier m args
+                else Interp.call_sync vm m args);
+             sb.State.sb_guard <- saved_guard
        with
       | Interp.Sync_trap e | Interp.Trap e ->
           sb.State.sb_guard <- saved_guard;
-          fail_transformer vm site e
+          fail_transformer vm
+            (object_site vm ctx.resolver t ~new_cid ~old_cid ~new_addr)
+            e
       | e ->
           sb.State.sb_guard <- saved_guard;
           raise e);
-      (* the transformer may have allocated and moved the heap *)
-      refresh_index ctx vm;
       ctx.status.(i) <- 2
 
 and force_transform vm ctx addr =
@@ -444,14 +509,14 @@ let run_class_transformers vm (spec : Spec.t) ctx =
   List.iter
     (fun cname ->
       match
-        find_transformer_method ctx.transformer_rc ~name:"jvolveClass"
+        find_transformer_method ctx.resolver.rs_rc ~name:"jvolveClass"
           ~params:[ CF.Types.TRef cname ]
       with
       | None -> uerr "no jvolveClass(%s) in transformer class" cname
       | Some m -> (
           let site =
             {
-              ts_method = Rt.method_qname ctx.transformer_rc m;
+              ts_method = Rt.method_qname ctx.resolver.rs_rc m;
               ts_class = cname;
               ts_object = 0;
             }
@@ -489,7 +554,6 @@ let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
      runtime class [v<tag>_N] *)
   let heap = vm.State.heap in
   let reg = vm.State.reg in
-  let replayed = ref 0 in
   let shared_with_forward (fwd_rc : Rt.rt_class) (nfi : Rt.field_info) =
     Array.exists
       (fun (ffi : Rt.field_info) ->
@@ -499,11 +563,9 @@ let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
              nfi.Rt.fi_ty)
       fwd_rc.Rt.instance_fields
   in
-  for i = 0 to (Array.length fwd_log / 2) - 1 do
-    let a = Value.to_ref fwd_log.(2 * i) (* pre-update pristine copy *)
-    and c = Value.to_ref fwd_log.((2 * i) + 1) (* restored object *) in
-    let c_cls = Rt.class_by_id reg (Heap.class_id heap c) in
-    let a_cls = Rt.class_by_id reg (Heap.class_id heap a) in
+  (* the dropped fields of one (restored class, pre-update class) pair:
+     (restored offset, pre-update offset) *)
+  let dropped_fields (c_cls : Rt.rt_class) (a_cls : Rt.rt_class) =
     if
       c_cls.Rt.valid
       && List.mem c_cls.Rt.name spec.Spec.diff.Diff.class_updates_closure
@@ -516,25 +578,44 @@ let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
         Rt.find_class reg
           (Spec.old_class_name ~tag:spec.Spec.version_tag c_cls.Rt.name)
       with
-      | None -> () (* forward layout gone: nothing was dropped *)
+      | None -> [] (* forward layout gone: nothing was dropped *)
       | Some fwd_rc ->
-          Array.iter
-            (fun (nfi : Rt.field_info) ->
-              if not (shared_with_forward fwd_rc nfi) then
-                (* dropped by the forward update: restore from the
-                   pre-update copy (same source layout as [c_cls]) *)
-                Array.iter
-                  (fun (ofi : Rt.field_info) ->
-                    if
-                      String.equal ofi.Rt.fi_name nfi.Rt.fi_name
-                      && CF.Types.equal_ty ofi.Rt.fi_ty nfi.Rt.fi_ty
-                    then begin
-                      Heap.set heap ~addr:c ~off:nfi.Rt.fi_offset
-                        (Heap.get heap ~addr:a ~off:ofi.Rt.fi_offset);
-                      incr replayed
-                    end)
-                  a_cls.Rt.instance_fields)
-            c_cls.Rt.instance_fields
+          Array.to_list c_cls.Rt.instance_fields
+          |> List.concat_map (fun (nfi : Rt.field_info) ->
+                 if shared_with_forward fwd_rc nfi then []
+                 else
+                   (* dropped by the forward update: restore from the
+                      pre-update copy (same source layout as [c_cls]) *)
+                   Array.to_list a_cls.Rt.instance_fields
+                   |> List.filter_map (fun (ofi : Rt.field_info) ->
+                          if
+                            String.equal ofi.Rt.fi_name nfi.Rt.fi_name
+                            && CF.Types.equal_ty ofi.Rt.fi_ty nfi.Rt.fi_ty
+                          then Some (nfi.Rt.fi_offset, ofi.Rt.fi_offset)
+                          else None))
+    else []
+  in
+  let plans = Hashtbl.create 8 in
+  let replayed = ref 0 in
+  for i = 0 to (Array.length fwd_log / 2) - 1 do
+    let a = Value.to_ref fwd_log.(2 * i) (* pre-update pristine copy *)
+    and c = Value.to_ref fwd_log.((2 * i) + 1) (* restored object *) in
+    let key = (Heap.class_id heap c, Heap.class_id heap a) in
+    let p =
+      match Hashtbl.find_opt plans key with
+      | Some p -> p
+      | None ->
+          let p =
+            Copy_plan.of_pairs
+              (dropped_fields
+                 (Rt.class_by_id reg (fst key))
+                 (Rt.class_by_id reg (snd key)))
+          in
+          Hashtbl.replace plans key p;
+          p
+    in
+    Copy_plan.run heap p ~dst:c ~src:a;
+    replayed := !replayed + Copy_plan.length p
   done;
   !replayed
 
@@ -575,10 +656,8 @@ let unload_transformer vm (rc : Rt.rt_class) =
 type lazy_via = L_barrier | L_sweep | L_force
 
 type lazy_ctx = {
-  lz_spec : Spec.t; (* for recomputing the restricted set at rollback *)
   lz_txn : Txn.t; (* open until finalize or rollback *)
-  lz_transformer_rc : Rt.rt_class;
-  lz_method_cache : (int * int, Rt.rt_method) Hashtbl.t;
+  lz_resolver : resolver; (* its spec also recomputes the restricted set *)
   lz_carrier : State.vthread;
   lz_sandbox : State.sandbox; (* active only around invocations *)
   lz_scratch : int array; (* one rooted slot for sweeper/force targets *)
@@ -631,31 +710,7 @@ let lazy_run_transformer vm (ctx : lazy_ctx) ~new_addr ~old_copy =
   let heap = vm.State.heap in
   let new_cid = Heap.class_id heap new_addr in
   let old_cid = Heap.class_id heap old_copy in
-  let m =
-    match Hashtbl.find_opt ctx.lz_method_cache (new_cid, old_cid) with
-    | Some m -> m
-    | None -> (
-        let new_cls = Rt.class_by_id vm.State.reg new_cid in
-        let old_cls = Rt.class_by_id vm.State.reg old_cid in
-        match
-          find_transformer_method ctx.lz_transformer_rc ~name:"jvolveObject"
-            ~params:
-              [ CF.Types.TRef new_cls.Rt.name; CF.Types.TRef old_cls.Rt.name ]
-        with
-        | Some m ->
-            Hashtbl.replace ctx.lz_method_cache (new_cid, old_cid) m;
-            m
-        | None ->
-            uerr "no jvolveObject(%s, %s) in transformer class"
-              new_cls.Rt.name old_cls.Rt.name)
-  in
-  let site =
-    {
-      ts_method = Rt.method_qname ctx.lz_transformer_rc m;
-      ts_class = (Rt.class_by_id vm.State.reg new_cid).Rt.name;
-      ts_object = new_addr;
-    }
-  in
+  let t = resolve_object_transformer vm ctx.lz_resolver ~new_cid ~old_cid in
   let sb = ctx.lz_sandbox in
   let saved_sandbox = vm.State.sandbox in
   let saved_guard = sb.State.sb_guard in
@@ -674,16 +729,23 @@ let lazy_run_transformer vm (ctx : lazy_ctx) ~new_addr ~old_copy =
     (fun () ->
       try
         consult_transformer_faults vm sb ~bad_target:(Some old_copy);
-        sb.State.sb_guard <- true;
-        ignore
-          (lazy_invoke vm ctx m [| Value.of_ref new_addr; Value.of_ref old_copy |])
+        match t with
+        | Plan p -> run_plan vm sb p ~new_addr ~old_addr:old_copy
+        | Method m ->
+            sb.State.sb_guard <- true;
+            ignore
+              (lazy_invoke vm ctx m
+                 [| Value.of_ref new_addr; Value.of_ref old_copy |])
       with Interp.Sync_trap e | Interp.Trap e -> (
         (* a nested transform aborted inside this invocation: the carrier
            surfaced it as a generic blocked-call trap — keep the inner
            typed cause instead *)
         match ctx.lz_abort with
         | Some (c, m') -> raise (Update_failure (c, m'))
-        | None -> fail_transformer vm site e))
+        | None ->
+            fail_transformer vm
+              (object_site vm ctx.lz_resolver t ~new_cid ~old_cid ~new_addr)
+              e))
 
 (* Transform the object referenced by [slots.(idx)] if it is still
    pending, chase an already-installed marker, and rewrite the slot.
@@ -878,7 +940,7 @@ let lazy_detach vm (ctx : lazy_ctx) =
 let lazy_finalize vm (ctx : lazy_ctx) =
   let li = ctx.lz_info in
   lazy_detach vm ctx;
-  unload_transformer vm ctx.lz_transformer_rc;
+  unload_transformer vm ctx.lz_resolver.rs_rc;
   let trimmed = Array.sub li.State.li_log 0 li.State.li_log_len in
   (match vm.State.guard_retained with
   | Some g when g == li.State.li_log ->
@@ -959,7 +1021,7 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
     | Some (c, r) -> (c, r)
     | None -> (C_generic, "lazy window rollback")
   in
-  let restricted = Safepoint.compute vm ctx.lz_spec in
+  let restricted = Safepoint.compute vm ctx.lz_resolver.rs_spec in
   match Safepoint.check vm restricted with
   | Safepoint.Blocked stuck when not force ->
       ignore (Safepoint.install_barriers stuck : int);
@@ -975,7 +1037,7 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
       let obs = vm.State.obs in
       let t0 = now () in
       lazy_detach vm ctx;
-      unload_transformer vm ctx.lz_transformer_rc;
+      unload_transformer vm ctx.lz_resolver.rs_rc;
       (* the guard window (if any) rode on this log and dies with it *)
       (match vm.State.guard_retained with
       | Some g when g == li.State.li_log ->
@@ -1091,14 +1153,14 @@ let run_class_transformers_lazy vm (spec : Spec.t) (ctx : lazy_ctx) =
   List.iter
     (fun cname ->
       match
-        find_transformer_method ctx.lz_transformer_rc ~name:"jvolveClass"
+        find_transformer_method ctx.lz_resolver.rs_rc ~name:"jvolveClass"
           ~params:[ CF.Types.TRef cname ]
       with
       | None -> uerr "no jvolveClass(%s) in transformer class" cname
       | Some m ->
           let site =
             {
-              ts_method = Rt.method_qname ctx.lz_transformer_rc m;
+              ts_method = Rt.method_qname ctx.lz_resolver.rs_rc m;
               ts_class = cname;
               ts_object = 0;
             }
@@ -1259,10 +1321,8 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
       carrier.State.tstate <- State.T_done;
       let lctx =
         {
-          lz_spec = spec;
           lz_txn = txn;
-          lz_transformer_rc = transformer_rc;
-          lz_method_cache = Hashtbl.create 8;
+          lz_resolver = make_resolver spec transformer_rc;
           lz_carrier = carrier;
           lz_sandbox = sb;
           lz_scratch = scratch;
@@ -1370,8 +1430,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         status = Array.make (max 1 (Array.length gcres.Gc.update_log / 2)) 0;
         index = Hashtbl.create 16;
         index_gc_count = -1;
-        transformer_rc;
-        method_cache = Hashtbl.create 8;
+        resolver = make_resolver spec transformer_rc;
         carrier = Interp.make_carrier vm;
         sandbox = sb;
       }
@@ -1395,7 +1454,6 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
     in
     (try
        Faults.point faults "updater.transform";
-       build_index ctx vm;
        run_class_transformers vm spec ctx;
        for i = 0 to ctx.n_pairs - 1 do
          Faults.point faults "updater.transform";

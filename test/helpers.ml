@@ -38,3 +38,34 @@ let check_compile_error ~substr src =
       if not (contains msg substr) then
         Alcotest.failf "error %S does not mention %S" msg substr
   | _ -> Alcotest.failf "expected compile error mentioning %S" substr
+
+(* The same spec with its generated transformer source handed back as a
+   hand-written one: every object transformer then runs in the
+   interpreter instead of as a copy plan. *)
+let interpreted_spec (spec : Jvolve_core.Spec.t) =
+  {
+    spec with
+    Jvolve_core.Spec.transformer_src =
+      Some (Jvolve_core.Transformers.generate_source spec);
+  }
+
+(* Two VMs' heaps must agree word for word up to the allocation
+   frontier. *)
+let check_same_heap what (a : VM.State.t) (b : VM.State.t) =
+  let ha = a.VM.State.heap and hb = b.VM.State.heap in
+  Alcotest.(check int) (what ^ ": heap frontier") ha.VM.Heap.free
+    hb.VM.Heap.free;
+  for i = 0 to ha.VM.Heap.free - 1 do
+    if ha.VM.Heap.space.(i) <> hb.VM.Heap.space.(i) then
+      Alcotest.failf "%s: heaps differ at word %d (%d vs %d)" what i
+        ha.VM.Heap.space.(i) hb.VM.Heap.space.(i)
+  done
+
+(* Instructions the interpreter ran in [vm]'s eager transform phases;
+   objects transformed by a copy plan add none. *)
+let transformer_steps (vm : VM.State.t) =
+  match
+    Jv_obs.Obs.find_histogram vm.VM.State.obs "core.update.transformer_steps"
+  with
+  | Some h -> Jv_obs.Metrics.sum h
+  | None -> 0.0

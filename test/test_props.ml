@@ -686,6 +686,83 @@ let lazy_eager_differential =
         A.Experience.all_apps;
       true)
 
+(* --- copy plans agree with the interpreter ----------------------------------
+
+   Every rung of every app ladder, eager and lazy, runs on two fresh VMs:
+   one applies the spec as is, so default object transformers run as copy
+   plans; the other gets the generated transformer source back as a
+   hand-written one, which sends every transformer through the
+   interpreter.  After the same scripted sessions, the lazy drain and one
+   collection, the transcripts and the heaps must agree word for word. *)
+
+let plan_rung ~lazy_mode ~interpreted (d : A.Experience.app_desc)
+    (from_version, to_version) =
+  let config =
+    if lazy_mode then
+      {
+        A.Experience.default_config with
+        VM.State.lazy_update = true;
+        VM.State.lazy_sweep_budget = 16;
+      }
+    else A.Experience.default_config
+  in
+  let vm = A.Experience.boot_version ~config d ~version:from_version in
+  VM.Vm.run vm ~rounds:3;
+  let buf = Buffer.create 1024 in
+  diff_drive vm d buf;
+  let compile v =
+    Jv_lang.Compile.compile_program
+      (A.Patching.source d.A.Experience.d_versioned ~version:v)
+  in
+  let spec =
+    A.Common.spec
+      ~overrides:(d.A.Experience.d_overrides ~to_version)
+      ~version_tag:(A.Common.version_tag from_version)
+      ~old_program:(compile from_version) ~new_program:(compile to_version)
+      ()
+  in
+  let spec = if interpreted then Helpers.interpreted_spec spec else spec in
+  let h = J.Jvolve.update_now ~timeout_rounds:400 vm spec in
+  Buffer.add_string buf
+    (if J.Jvolve.succeeded h then "update: applied\n" else "update: refused\n");
+  diff_drive vm d buf;
+  (match vm.VM.State.lazy_drain with
+  | Some drain -> ignore (drain vm : bool)
+  | None -> ());
+  ignore (VM.Gc.collect vm);
+  (Buffer.contents buf, vm)
+
+let plans_match_interpreter () =
+  (* eager rungs where plans replaced interpreted transformers *)
+  let planned = ref 0 in
+  List.iter
+    (fun (d : A.Experience.app_desc) ->
+      List.iter
+        (fun ((fv, _), (tv, _)) ->
+          List.iter
+            (fun lazy_mode ->
+              let what =
+                Printf.sprintf "%s %s->%s %s" d.A.Experience.d_name fv tv
+                  (if lazy_mode then "lazy" else "eager")
+              in
+              let t_plan, vm_plan =
+                plan_rung ~lazy_mode ~interpreted:false d (fv, tv)
+              in
+              let t_interp, vm_interp =
+                plan_rung ~lazy_mode ~interpreted:true d (fv, tv)
+              in
+              Alcotest.(check string) (what ^ ": transcript") t_interp t_plan;
+              Helpers.check_same_heap what vm_interp vm_plan;
+              let steps_plan = Helpers.transformer_steps vm_plan
+              and steps_interp = Helpers.transformer_steps vm_interp in
+              if steps_plan > steps_interp then
+                Alcotest.failf "%s: plans ran more interpreted steps" what;
+              if steps_plan < steps_interp then incr planned)
+            [ false; true ])
+        (A.Patching.update_pairs d.A.Experience.d_versioned))
+    A.Experience.all_apps;
+  Alcotest.(check bool) "some rung ran copy plans" true (!planned > 0)
+
 (* --- con-freeness differential over the app ladders --------------------------
 
    For every rung of every app's update ladder, two fresh VMs — one with
@@ -774,6 +851,8 @@ let suite =
     QCheck_alcotest.to_alcotest rollout_converges;
     QCheck_alcotest.to_alcotest lazy_eager_differential;
     QCheck_alcotest.to_alcotest confree_differential;
+    Alcotest.test_case "copy plans match the interpreter on every rung"
+      `Quick plans_match_interpreter;
     Alcotest.test_case "heapverify auto-collects stale copies" `Quick
       verifier_autocollects_stale_copies;
   ]

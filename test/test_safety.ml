@@ -332,6 +332,150 @@ let throwing_transformer_aborts () =
         (J.Updater.cause_to_string c));
   check_contained "trap" vm before a
 
+(* --- fault points on the copy-plan path ----------------------------------
+
+   With no override, Payload's object transformer is the UPT default and
+   runs as a copy plan, not in the interpreter.  Each transformer.* fault
+   point must still end the update (eagerly) or the lazy window with the
+   same typed cause, a clean rollback and a green heap. *)
+
+module Faults = Jv_faults.Faults
+module Obs = Jv_obs.Obs
+
+(* jvolveClass consults transformer.loop and transformer.throw before any
+   object transformer runs: arm the first seed whose plan lets that
+   consult pass and fires on Payload's own. *)
+let armed_on_object point =
+  let class_checks = if point = "transformer.badwrite" then 0 else 1 in
+  let make seed =
+    let p = Faults.create ~seed () in
+    Faults.arm p ~point ~rate:0.5 ~max_fires:1 Faults.Raise;
+    p
+  in
+  let rec pick seed =
+    let probe = Some (make seed) in
+    let passes = List.init class_checks (fun _ -> Faults.check probe point) in
+    if List.for_all Option.is_none passes && Faults.check probe point <> None
+    then make seed
+    else pick (seed + 1)
+  in
+  pick 1
+
+let plan_fault_config ~lazy_mode =
+  {
+    Helpers.test_config with
+    VM.State.transformer_fuel = 20_000;
+    verify_heap = true;
+    lazy_update = lazy_mode;
+    lazy_sweep_budget = 8;
+  }
+
+let default_payload_spec tag =
+  J.Spec.make ~version_tag:tag ~old_program:(compile sandbox_v1)
+    ~new_program:(compile sandbox_v2) ()
+
+let check_plan_cause point (c : J.Updater.cause) =
+  let site =
+    match (point, c) with
+    | "transformer.loop", J.Updater.C_fuel_exhausted (site, steps) ->
+        Alcotest.(check bool) "steps reached the budget" true (steps >= 20_000);
+        site
+    | "transformer.throw", J.Updater.C_transformer_trap (site, _)
+    | "transformer.badwrite", J.Updater.C_sandbox_violation (site, _) ->
+        site
+    | _ ->
+        Alcotest.failf "%s: unexpected cause %s" point
+          (J.Updater.cause_to_string c)
+  in
+  Alcotest.(check string) (point ^ ": site class") "Payload" site.J.Updater.ts_class;
+  Alcotest.(check bool) (point ^ ": site object") true (site.J.Updater.ts_object > 0);
+  Alcotest.(check bool)
+    (point ^ ": site method") true
+    (Helpers.contains site.J.Updater.ts_method "jvolveObject")
+
+let plan_fault_eager point () =
+  let vm = boot_payload ~config:(plan_fault_config ~lazy_mode:false) sandbox_v1 in
+  VM.Vm.run vm ~rounds:10;
+  let before = live_count vm in
+  VM.Vm.set_faults vm (Some (armed_on_object point));
+  let h = J.Jvolve.update_now ~timeout_rounds:200 vm (default_payload_spec "pe") in
+  VM.Vm.set_faults vm None;
+  match h.J.Jvolve.h_outcome with
+  | J.Jvolve.Aborted a ->
+      check_plan_cause point a.J.Updater.a_cause;
+      check_contained point vm before a
+  | o ->
+      Alcotest.failf "%s should abort the update, got %s" point
+        (J.Jvolve.outcome_to_string o)
+
+(* The lazy window carries its abort's reason (rendered from the typed
+   cause) on the lazy.abort event, then rolls the whole window back. *)
+let plan_fault_lazy point () =
+  let vm = boot_payload ~config:(plan_fault_config ~lazy_mode:true) sandbox_v1 in
+  VM.Vm.run vm ~rounds:10;
+  let before = live_count vm in
+  VM.Vm.set_faults vm (Some (armed_on_object point));
+  let h = J.Jvolve.update_now ~timeout_rounds:200 vm (default_payload_spec "pl") in
+  if not (J.Jvolve.succeeded h) then
+    Alcotest.failf "%s: lazy commit refused: %s" point
+      (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
+  let budget = ref 500 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  VM.Vm.set_faults vm None;
+  let obs = vm.VM.State.obs in
+  Alcotest.(check int) (point ^ ": window rolled back") 1
+    (Obs.counter_value obs "core.lazy.rollbacks");
+  Alcotest.(check int) (point ^ ": never drained") 0
+    (Obs.counter_value obs "core.lazy.drained");
+  let field name (ev : Obs.event) =
+    match List.assoc_opt name ev.Obs.ev_fields with
+    | Some (Obs.Str s) -> s
+    | _ -> ""
+  in
+  let named n = List.filter (fun (ev : Obs.event) -> ev.Obs.ev_name = n) (Obs.events obs) in
+  let reason =
+    match named "lazy.abort" with
+    | [ ev ] -> field "reason" ev
+    | evs -> Alcotest.failf "%s: %d lazy.abort events" point (List.length evs)
+  in
+  let expected =
+    match point with
+    | "transformer.loop" -> "exhausted its fuel budget"
+    | "transformer.throw" -> "trapped on Payload@"
+    | _ -> "sandbox:"
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: reason %S names the cause" point reason)
+    true
+    (Helpers.contains reason expected && Helpers.contains reason "Payload@");
+  (match named "lazy.rollback" with
+  | [ ev ] -> Alcotest.(check string) (point ^ ": rollback ok") "true" (field "ok" ev)
+  | evs -> Alcotest.failf "%s: %d lazy.rollback events" point (List.length evs));
+  Alcotest.(check int) (point ^ ": zero lazy residue") 0 (Test_lazy.residue_count vm);
+  Alcotest.(check bool) (point ^ ": heap verifies") true
+    (VM.Heapverify.run vm).VM.Heapverify.hv_ok;
+  Alcotest.(check int) (point ^ ": live objects preserved") before (live_count vm);
+  Alcotest.(check int) (point ^ ": field value preserved") 41
+    (VM.Value.to_int
+       (VM.Heap.get vm.VM.State.heap ~addr:(find_instance vm "Payload")
+          ~off:(field_off vm "Payload" "x")));
+  Alcotest.(check int) (point ^ ": no thread traps") 0
+    (List.length (VM.Vm.stats vm).VM.Vm.traps)
+
+let plan_fault_cases =
+  List.concat_map
+    (fun point ->
+      [
+        Alcotest.test_case ("copy plan, eager: " ^ point) `Quick
+          (plan_fault_eager point);
+        Alcotest.test_case ("copy plan, lazy: " ^ point) `Quick
+          (plan_fault_lazy point);
+      ])
+    [ "transformer.loop"; "transformer.throw"; "transformer.badwrite" ]
+
 (* --- the heap integrity verifier ----------------------------------------- *)
 
 let boxes_v1 =
@@ -507,3 +651,4 @@ let suite =
     Alcotest.test_case "fleet: unreliable rollback is quarantined" `Quick
       fleet_quarantines_corrupted_instance;
   ]
+  @ plan_fault_cases
