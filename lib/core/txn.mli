@@ -37,6 +37,10 @@ val rollback : ?update_log:int array -> State.t -> t -> unit
     [extra_roots] immediately before this call, with no collection in
     between. *)
 
+val redirect_of_log : int array -> (int, int) Hashtbl.t
+(** The rollback redirect of an update log: new object → pristine old
+    copy, decoded from its (old copy, new object) pairs. *)
+
 val audit : State.t -> t -> (unit, string) result
 (** Is the metadata exactly the snapshot again?  [Error why] names the
     first discrepancy (a half-installed class table). *)

@@ -143,6 +143,16 @@ let now () = Unix.gettimeofday ()
 
 (* --- step helpers ------------------------------------------------------- *)
 
+(* Invalidate a class and every method of it, compiled code included. *)
+let strip_class (rc : Rt.rt_class) =
+  rc.Rt.valid <- false;
+  Array.iter
+    (fun (m : Rt.rt_method) ->
+      m.Rt.m_valid <- false;
+      m.Rt.base_code <- None;
+      m.Rt.opt_code <- None)
+    rc.Rt.methods
+
 let rename_old_classes vm (spec : Spec.t) : (string * Rt.rt_class) list =
   let tag = spec.Spec.version_tag in
   List.filter_map
@@ -153,14 +163,8 @@ let rename_old_classes vm (spec : Spec.t) : (string * Rt.rt_class) list =
           Hashtbl.remove vm.State.reg.Rt.by_name name;
           let stub_name = Spec.old_class_name ~tag name in
           rc.Rt.name <- stub_name;
-          rc.Rt.valid <- false;
+          strip_class rc;
           Hashtbl.replace vm.State.reg.Rt.by_name stub_name rc.Rt.cid;
-          Array.iter
-            (fun (m : Rt.rt_method) ->
-              m.Rt.m_valid <- false;
-              m.Rt.base_code <- None;
-              m.Rt.opt_code <- None)
-            rc.Rt.methods;
           Some (name, rc))
     (spec.Spec.diff.Diff.class_updates_closure
     @ spec.Spec.diff.Diff.deleted_classes)
@@ -267,34 +271,61 @@ let invalidate_stale_code vm (r : Safepoint.restricted) : int =
   vm.State.reg.Rt.epoch <- vm.State.reg.Rt.epoch + 1;
   !count
 
-(* --- transformer phase --------------------------------------------------- *)
+let unroot vm a =
+  vm.State.extra_roots <- List.filter (fun x -> x != a) vm.State.extra_roots
+
+(* --- the transformation engine ---------------------------------------------
+
+   One engine runs every transformer in both update modes (DESIGN.md,
+   "One engine").  Only the heap pass and the commit differ by mode:
+   eager mode makes every (old copy, new object) pair in the transforming
+   collection and runs the object transformers over that log inside the
+   pause; lazy mode makes each pair when the read barrier or the sweeper
+   first touches an old-epoch object.  Either way a transformer runs
+   through [invoke_object] or [run_class_transformers], on the engine's
+   carrier thread and under its sandbox; the caller decides the sandbox
+   scope. *)
 
 (* How the objects of one (new class, old class) pair are transformed. *)
 type object_transformer =
   | Plan of Copy_plan.t (* the UPT default, compiled to a field copy *)
   | Method of Rt.rt_method (* anything the user wrote: interpreted *)
 
-(* Object-transformer resolution, shared by the eager and lazy drivers.
-   Cached per (new cid, old cid): the paper's suggested "caching the
-   lookup" optimization for the reflective dispatch.  The last answer is
-   kept apart, so a run of objects of one class pair skips the hash. *)
-type resolver = {
-  rs_spec : Spec.t;
-  rs_rc : Rt.rt_class; (* the installed transformer class *)
-  rs_cache : (int * int, object_transformer) Hashtbl.t;
-  mutable rs_last : int * int * object_transformer;
+(* What every transformer invocation of one update shares, in either
+   mode.  Object-transformer resolution is cached per (new cid, old cid):
+   the paper's suggested "caching the lookup" optimization for the
+   reflective dispatch.  The last answer is kept apart, so a run of
+   objects of one class pair skips the hash. *)
+type engine = {
+  en_spec : Spec.t;
+  en_rc : Rt.rt_class; (* the installed transformer class *)
+  en_cache : (int * int, object_transformer) Hashtbl.t;
+  mutable en_last : int * int * object_transformer;
+  en_carrier : State.vthread; (* reused for every transformer invocation *)
+  en_sandbox : State.sandbox; (* fuel accounting + write restriction *)
+  mutable en_abort : (cause * string) option;
+      (* the first failed transform of a lazy window *)
 }
 
-type transform_ctx = {
-  log : int array; (* flattened (old, new) pairs; registered as GC roots *)
-  n_pairs : int;
-  status : int array; (* 0 = pending, 1 = in progress, 2 = done *)
-  mutable index : (int, int) Hashtbl.t; (* new addr -> pair index *)
-  mutable index_gc_count : int;
-  resolver : resolver;
-  carrier : State.vthread; (* reused for every transformer invocation *)
-  sandbox : State.sandbox; (* fuel accounting + write restriction *)
-}
+let make_engine vm spec rc =
+  let carrier = Interp.make_carrier vm in
+  (* idle between invocations: marked done so the scheduler never slices
+     it; [invoke] re-registers it per call *)
+  carrier.State.tstate <- State.T_done;
+  {
+    en_spec = spec;
+    en_rc = rc;
+    en_cache = Hashtbl.create 8;
+    en_last = (-1, -1, Plan (Copy_plan.of_pairs []));
+    en_carrier = carrier;
+    en_sandbox = State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel;
+    en_abort = None;
+  }
+
+let release_engine vm en =
+  vm.State.force_transform <- None;
+  State.sandbox_dispose vm en.en_sandbox;
+  Interp.release_carrier vm en.en_carrier
 
 (* The transformer.* fault points simulate the three ways a bad
    transformer misbehaves, each driven through the real enforcement
@@ -324,8 +355,14 @@ let consult_transformer_faults vm (sb : State.sandbox) ~bad_target =
       | None -> ())
 
 (* Classify a trapped transformer by the trap message the interpreter's
-   enforcement produced, and surface the typed cause. *)
-let fail_transformer vm (site : transformer_site) msg =
+   enforcement produced, and surface the typed cause.  A transform that
+   already failed inside this invocation keeps its own cause: in a lazy
+   window the nested failure parked the carrier, which surfaces here as
+   a generic blocked-call trap. *)
+let fail_transformer vm en (site : transformer_site) msg =
+  (match en.en_abort with
+  | Some (c, r) -> raise (Update_failure (c, r))
+  | None -> ());
   (* the failure is re-reported through the typed abort below; drop the
      carrier thread's entry from the VM-wide trap log so a contained
      transformer failure does not read as an app-thread crash *)
@@ -338,11 +375,7 @@ let fail_transformer vm (site : transformer_site) msg =
   | _ -> ());
   let cause, reason =
     if String.starts_with ~prefix:"transformer fuel exhausted" msg then
-      let steps =
-        match vm.State.sandbox with
-        | Some sb -> sb.State.sb_steps
-        | None -> 0
-      in
+      let steps = en.en_sandbox.State.sb_steps in
       ( C_fuel_exhausted (site, steps),
         Printf.sprintf
           "%s exhausted its fuel budget (%d steps) transforming %s"
@@ -358,20 +391,6 @@ let fail_transformer vm (site : transformer_site) msg =
   in
   raise (Update_failure (cause, reason))
 
-let build_index ctx vm =
-  let h = Hashtbl.create (max 16 ctx.n_pairs) in
-  for i = 0 to ctx.n_pairs - 1 do
-    Hashtbl.replace h (Value.to_ref ctx.log.((2 * i) + 1)) i
-  done;
-  ctx.index <- h;
-  ctx.index_gc_count <- vm.State.heap.Heap.gc_count
-
-(* The index serves only the Jvolve.transform native, so it is built on
-   its first call (index_gc_count starts at -1) and again after any
-   collection moved the heap. *)
-let refresh_index ctx vm =
-  if vm.State.heap.Heap.gc_count <> ctx.index_gc_count then build_index ctx vm
-
 let find_transformer_method (transformer_rc : Rt.rt_class) ~name ~params =
   Array.to_seq transformer_rc.Rt.methods
   |> Seq.find (fun (m : Rt.rt_method) ->
@@ -379,62 +398,54 @@ let find_transformer_method (transformer_rc : Rt.rt_class) ~name ~params =
          && List.length m.Rt.m_sig.CF.Types.params = List.length params
          && List.for_all2 CF.Types.equal_ty m.Rt.m_sig.CF.Types.params params)
 
-let make_resolver spec rc =
-  {
-    rs_spec = spec;
-    rs_rc = rc;
-    rs_cache = Hashtbl.create 8;
-    rs_last = (-1, -1, Plan (Copy_plan.of_pairs []));
-  }
-
-let jvolve_object_method rs ~(new_cls : Rt.rt_class) ~(old_cls : Rt.rt_class) =
-  find_transformer_method rs.rs_rc ~name:"jvolveObject"
+let jvolve_object_method en ~(new_cls : Rt.rt_class) ~(old_cls : Rt.rt_class) =
+  find_transformer_method en.en_rc ~name:"jvolveObject"
     ~params:[ CF.Types.TRef new_cls.Rt.name; CF.Types.TRef old_cls.Rt.name ]
 
-let resolve_object_transformer vm rs ~new_cid ~old_cid =
-  let last_new, last_old, last = rs.rs_last in
+let resolve_object_transformer vm en ~new_cid ~old_cid =
+  let last_new, last_old, last = en.en_last in
   if last_new = new_cid && last_old = old_cid then last
   else begin
     let t =
-      match Hashtbl.find_opt rs.rs_cache (new_cid, old_cid) with
+      match Hashtbl.find_opt en.en_cache (new_cid, old_cid) with
       | Some t -> t
       | None ->
           let new_cls = Rt.class_by_id vm.State.reg new_cid in
           let old_cls = Rt.class_by_id vm.State.reg old_cid in
           let t =
             match
-              Copy_plan.for_default rs.rs_spec ~dst:new_cls ~src:old_cls
+              Copy_plan.for_default en.en_spec ~dst:new_cls ~src:old_cls
             with
             | Some p -> Plan p
             | None -> (
-                match jvolve_object_method rs ~new_cls ~old_cls with
+                match jvolve_object_method en ~new_cls ~old_cls with
                 | Some m -> Method m
                 | None ->
                     uerr "no jvolveObject(%s, %s) in transformer class"
                       new_cls.Rt.name old_cls.Rt.name)
           in
-          Hashtbl.replace rs.rs_cache (new_cid, old_cid) t;
+          Hashtbl.replace en.en_cache (new_cid, old_cid) t;
           t
     in
-    rs.rs_last <- (new_cid, old_cid, t);
+    en.en_last <- (new_cid, old_cid, t);
     t
   end
 
 (* Where an object transformer failed.  Built only on the failure path:
    a plan names the generated method it stands in for. *)
-let object_site vm rs t ~new_cid ~old_cid ~new_addr =
+let object_site vm en t ~new_cid ~old_cid ~new_addr =
   let new_cls = Rt.class_by_id vm.State.reg new_cid in
   let m =
     match t with
     | Method m -> Some m
     | Plan _ ->
-        jvolve_object_method rs ~new_cls
+        jvolve_object_method en ~new_cls
           ~old_cls:(Rt.class_by_id vm.State.reg old_cid)
   in
   {
     ts_method =
       (match m with
-      | Some m -> Rt.method_qname rs.rs_rc m
+      | Some m -> Rt.method_qname en.en_rc m
       | None -> "jvolveObject");
     ts_class = new_cls.Rt.name;
     ts_object = new_addr;
@@ -453,7 +464,96 @@ let run_plan vm (sb : State.sandbox) p ~new_addr ~old_addr =
             sb.State.sb_steps));
   Copy_plan.run vm.State.heap p ~dst:new_addr ~src:old_addr
 
-let rec run_pair vm ctx i =
+(* Run [m] on the engine's carrier when it is free.  An idle carrier may
+   have been reaped by the scheduler (a lazy window's carrier outlives
+   the pause), so it is re-registered: its frames must be GC roots while
+   the transformer runs.  Recursive transforms (via the Jvolve.transform
+   native) arrive while the carrier is mid-call and take a fresh
+   temporary thread. *)
+let invoke vm en m args =
+  let c = en.en_carrier in
+  if c.State.frames = [] then begin
+    if not (List.memq c vm.State.threads) then
+      vm.State.threads <- vm.State.threads @ [ c ];
+    Interp.call_on vm c m args
+  end
+  else Interp.call_sync vm m args
+
+(* The one object-transformer invocation: resolve the transformer of the
+   pair, give it fresh fuel, consult the faults, run the plan or the
+   method (writes restricted to the object set), and turn a trap into a
+   typed [Update_failure].  The sandbox must already be installed. *)
+let invoke_object vm en ~new_addr ~old_addr =
+  let heap = vm.State.heap in
+  let new_cid = Heap.class_id heap new_addr in
+  let old_cid = Heap.class_id heap old_addr in
+  let t = resolve_object_transformer vm en ~new_cid ~old_cid in
+  let sb = en.en_sandbox in
+  let saved_guard = sb.State.sb_guard in
+  sb.State.sb_steps <- 0;
+  try
+    consult_transformer_faults vm sb ~bad_target:(Some old_addr);
+    match t with
+    | Plan p -> run_plan vm sb p ~new_addr ~old_addr
+    | Method m ->
+        sb.State.sb_guard <- true;
+        ignore
+          (invoke vm en m [| Value.of_ref new_addr; Value.of_ref old_addr |]);
+        sb.State.sb_guard <- saved_guard
+  with
+  | Interp.Sync_trap e | Interp.Trap e ->
+      sb.State.sb_guard <- saved_guard;
+      fail_transformer vm en (object_site vm en t ~new_cid ~old_cid ~new_addr) e
+  | e ->
+      sb.State.sb_guard <- saved_guard;
+      raise e
+
+(* Class transformers run with a fresh fuel budget but no write guard:
+   (re)initializing statics legitimately reaches arbitrary objects.  They
+   run eagerly in both modes — statics must be coherent when the world
+   resumes — so in a lazy window they dereference old-epoch statics
+   through the live barrier and force transforms as they go (the paper's
+   eager islands inside the lazy window).  The sandbox is installed per
+   call; there are only a handful of classes. *)
+let run_class_transformers vm en =
+  let sb = en.en_sandbox in
+  List.iter
+    (fun cname ->
+      match
+        find_transformer_method en.en_rc ~name:"jvolveClass"
+          ~params:[ CF.Types.TRef cname ]
+      with
+      | None -> uerr "no jvolveClass(%s) in transformer class" cname
+      | Some m ->
+          let site =
+            { ts_method = Rt.method_qname en.en_rc m; ts_class = cname;
+              ts_object = 0 }
+          in
+          let saved_sandbox = vm.State.sandbox in
+          vm.State.sandbox <- Some sb;
+          sb.State.sb_steps <- 0;
+          Fun.protect
+            ~finally:(fun () -> vm.State.sandbox <- saved_sandbox)
+            (fun () ->
+              try
+                consult_transformer_faults vm sb ~bad_target:None;
+                ignore (invoke vm en m [| Value.null |])
+              with Interp.Sync_trap e | Interp.Trap e ->
+                fail_transformer vm en site e))
+    en.en_spec.Spec.diff.Diff.class_updates_closure
+
+(* --- eager: the pair loop over the collection's log ----------------------- *)
+
+type transform_ctx = {
+  log : int array; (* flattened (old, new) pairs; registered as GC roots *)
+  n_pairs : int;
+  status : int array; (* 0 = pending, 1 = in progress, 2 = done *)
+  mutable index : (int, int) Hashtbl.t; (* new addr -> pair index *)
+  mutable index_gc_count : int;
+  engine : engine;
+}
+
+let run_pair vm ctx i =
   match ctx.status.(i) with
   | 2 -> ()
   | 1 ->
@@ -462,74 +562,94 @@ let rec run_pair vm ctx i =
       uerr "cyclic object-transformer dependency detected; aborting update"
   | _ ->
       ctx.status.(i) <- 1;
-      let old_addr = Value.to_ref ctx.log.(2 * i)
-      and new_addr = Value.to_ref ctx.log.((2 * i) + 1) in
-      let new_cid = Heap.class_id vm.State.heap new_addr in
-      let old_cid = Heap.class_id vm.State.heap old_addr in
-      let t = resolve_object_transformer vm ctx.resolver ~new_cid ~old_cid in
-      let sb = ctx.sandbox in
-      (* fresh fuel per invocation; writes restricted to the object set *)
-      let saved_guard = sb.State.sb_guard in
-      sb.State.sb_steps <- 0;
-      (try
-         consult_transformer_faults vm sb ~bad_target:(Some old_addr);
-         match t with
-         | Plan p -> run_plan vm sb p ~new_addr ~old_addr
-         | Method m ->
-             sb.State.sb_guard <- true;
-             let args = [| Value.of_ref new_addr; Value.of_ref old_addr |] in
-             (* reuse the carrier thread when it is free; recursive
-                transforms (via the Jvolve.transform native) arrive while
-                the carrier is mid-call and need their own thread *)
-             ignore
-               (if ctx.carrier.State.frames = [] then
-                  Interp.call_on vm ctx.carrier m args
-                else Interp.call_sync vm m args);
-             sb.State.sb_guard <- saved_guard
-       with
-      | Interp.Sync_trap e | Interp.Trap e ->
-          sb.State.sb_guard <- saved_guard;
-          fail_transformer vm
-            (object_site vm ctx.resolver t ~new_cid ~old_cid ~new_addr)
-            e
-      | e ->
-          sb.State.sb_guard <- saved_guard;
-          raise e);
+      invoke_object vm ctx.engine
+        ~old_addr:(Value.to_ref ctx.log.(2 * i))
+        ~new_addr:(Value.to_ref ctx.log.((2 * i) + 1));
       ctx.status.(i) <- 2
 
-and force_transform vm ctx addr =
-  refresh_index ctx vm;
+(* The Jvolve.transform native.  The index serves only this, so it is
+   built on the first call (index_gc_count starts at -1) and again after
+   any collection moved the heap. *)
+let force_transform vm ctx addr =
+  let gc_count = vm.State.heap.Heap.gc_count in
+  if gc_count <> ctx.index_gc_count then begin
+    let h = Hashtbl.create (max 16 ctx.n_pairs) in
+    for i = 0 to ctx.n_pairs - 1 do
+      Hashtbl.replace h (Value.to_ref ctx.log.((2 * i) + 1)) i
+    done;
+    ctx.index <- h;
+    ctx.index_gc_count <- gc_count
+  end;
   match Hashtbl.find_opt ctx.index addr with
   | Some i -> run_pair vm ctx i
   | None -> () (* not an object under transformation: no-op *)
 
-(* Class transformers run with a fresh fuel budget but no write guard:
-   (re)initializing statics legitimately reaches arbitrary objects. *)
-let run_class_transformers vm (spec : Spec.t) ctx =
-  List.iter
-    (fun cname ->
-      match
-        find_transformer_method ctx.resolver.rs_rc ~name:"jvolveClass"
-          ~params:[ CF.Types.TRef cname ]
-      with
-      | None -> uerr "no jvolveClass(%s) in transformer class" cname
-      | Some m -> (
-          let site =
-            {
-              ts_method = Rt.method_qname ctx.resolver.rs_rc m;
-              ts_class = cname;
-              ts_object = 0;
-            }
-          in
-          ctx.sandbox.State.sb_steps <- 0;
-          try
-            consult_transformer_faults vm ctx.sandbox ~bad_target:None;
-            ignore (Interp.call_on vm ctx.carrier m [| Value.null |])
-          with Interp.Sync_trap e | Interp.Trap e ->
-            fail_transformer vm site e))
-    spec.Spec.diff.Diff.class_updates_closure
+(* Root the collection's log for the transformer phase and admit every
+   new-layout object in it as a legitimate write target. *)
+let begin_pairs vm en log =
+  let n_pairs = Array.length log / 2 in
+  vm.State.extra_roots <- log :: vm.State.extra_roots;
+  for i = 0 to n_pairs - 1 do
+    State.sandbox_allow vm en.en_sandbox (Value.to_ref log.((2 * i) + 1))
+  done;
+  let ctx =
+    {
+      log;
+      n_pairs;
+      status = Array.make (max 1 n_pairs) 0;
+      index = Hashtbl.create 16;
+      index_gc_count = -1;
+      engine = en;
+    }
+  in
+  vm.State.force_transform <- Some (fun vm addr -> force_transform vm ctx addr);
+  ctx
 
-(* --- inverse-update replay (guard revert) -------------------------------
+(* --- log replays ---------------------------------------------------------- *)
+
+(* (dst offset, src offset) for every same-named field pair that [ok]
+   accepts, in [dst] field order. *)
+let field_pairs (dst : Rt.rt_class) (src : Rt.rt_class) ok =
+  Array.to_list dst.Rt.instance_fields
+  |> List.concat_map (fun (d : Rt.field_info) ->
+         Array.to_list src.Rt.instance_fields
+         |> List.filter_map (fun (s : Rt.field_info) ->
+                if String.equal d.Rt.fi_name s.Rt.fi_name && ok d s then
+                  Some (d.Rt.fi_offset, s.Rt.fi_offset)
+                else None))
+
+(* Copy fields from each pair's even slot into its odd slot, with one
+   copy plan per (odd class, even class), built by [fields] as
+   (destination offset, source offset) pairs.  Returns the fields
+   copied. *)
+let copy_over_log vm (log : int array) fields =
+  let heap = vm.State.heap in
+  let reg = vm.State.reg in
+  let plans = Hashtbl.create 8 in
+  let copied = ref 0 in
+  for i = 0 to (Array.length log / 2) - 1 do
+    let src = Value.to_ref log.(2 * i) in
+    let dst = Value.to_ref log.((2 * i) + 1) in
+    let key = (Heap.class_id heap dst, Heap.class_id heap src) in
+    let p =
+      match Hashtbl.find_opt plans key with
+      | Some p -> p
+      | None ->
+          let p =
+            Copy_plan.of_pairs
+              (fields
+                 (Rt.class_by_id reg (fst key))
+                 (Rt.class_by_id reg (snd key)))
+          in
+          Hashtbl.replace plans key p;
+          p
+    in
+    Copy_plan.run heap p ~dst ~src;
+    copied := !copied + Copy_plan.length p
+  done;
+  !copied
+
+(* Inverse-update replay (guard revert).
 
    When a guard window trips, the revert is the inverse update applied
    through this same pipeline.  Its default transformers restore only the
@@ -552,8 +672,6 @@ let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
   (* [spec] is the inverse spec: its [version_tag] renamed the version
      being backed out aside, so the forward-new layout of class N is the
      runtime class [v<tag>_N] *)
-  let heap = vm.State.heap in
-  let reg = vm.State.reg in
   let shared_with_forward (fwd_rc : Rt.rt_class) (nfi : Rt.field_info) =
     Array.exists
       (fun (ffi : Rt.field_info) ->
@@ -565,69 +683,113 @@ let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
   in
   (* the dropped fields of one (restored class, pre-update class) pair:
      (restored offset, pre-update offset) *)
-  let dropped_fields (c_cls : Rt.rt_class) (a_cls : Rt.rt_class) =
-    if
-      c_cls.Rt.valid
-      && List.mem c_cls.Rt.name spec.Spec.diff.Diff.class_updates_closure
-      (* a custom inverse transformer recomputes the old representation
-         from *live* state (so in-window writes survive); replaying the
-         pre-update copies over it would roll those writes back *)
-      && not (List.mem_assoc c_cls.Rt.name spec.Spec.object_overrides)
-    then
-      match
-        Rt.find_class reg
-          (Spec.old_class_name ~tag:spec.Spec.version_tag c_cls.Rt.name)
-      with
-      | None -> [] (* forward layout gone: nothing was dropped *)
-      | Some fwd_rc ->
-          Array.to_list c_cls.Rt.instance_fields
-          |> List.concat_map (fun (nfi : Rt.field_info) ->
-                 if shared_with_forward fwd_rc nfi then []
-                 else
-                   (* dropped by the forward update: restore from the
-                      pre-update copy (same source layout as [c_cls]) *)
-                   Array.to_list a_cls.Rt.instance_fields
-                   |> List.filter_map (fun (ofi : Rt.field_info) ->
-                          if
-                            String.equal ofi.Rt.fi_name nfi.Rt.fi_name
-                            && CF.Types.equal_ty ofi.Rt.fi_ty nfi.Rt.fi_ty
-                          then Some (nfi.Rt.fi_offset, ofi.Rt.fi_offset)
-                          else None))
-    else []
-  in
-  let plans = Hashtbl.create 8 in
-  let replayed = ref 0 in
-  for i = 0 to (Array.length fwd_log / 2) - 1 do
-    let a = Value.to_ref fwd_log.(2 * i) (* pre-update pristine copy *)
-    and c = Value.to_ref fwd_log.((2 * i) + 1) (* restored object *) in
-    let key = (Heap.class_id heap c, Heap.class_id heap a) in
-    let p =
-      match Hashtbl.find_opt plans key with
-      | Some p -> p
-      | None ->
-          let p =
-            Copy_plan.of_pairs
-              (dropped_fields
-                 (Rt.class_by_id reg (fst key))
-                 (Rt.class_by_id reg (snd key)))
-          in
-          Hashtbl.replace plans key p;
-          p
-    in
-    Copy_plan.run heap p ~dst:c ~src:a;
-    replayed := !replayed + Copy_plan.length p
-  done;
-  !replayed
+  copy_over_log vm fwd_log (fun (c_cls : Rt.rt_class) (a_cls : Rt.rt_class) ->
+      if
+        c_cls.Rt.valid
+        && List.mem c_cls.Rt.name spec.Spec.diff.Diff.class_updates_closure
+        (* a custom inverse transformer recomputes the old representation
+           from *live* state (so in-window writes survive); replaying the
+           pre-update copies over it would roll those writes back *)
+        && not (List.mem_assoc c_cls.Rt.name spec.Spec.object_overrides)
+      then
+        match
+          Rt.find_class vm.State.reg
+            (Spec.old_class_name ~tag:spec.Spec.version_tag c_cls.Rt.name)
+        with
+        | None -> [] (* forward layout gone: nothing was dropped *)
+        | Some fwd_rc ->
+            (* dropped by the forward update: restore from the pre-update
+               copy (same source layout as [c_cls]) *)
+            field_pairs c_cls a_cls (fun nfi ofi ->
+                (not (shared_with_forward fwd_rc nfi))
+                && CF.Types.equal_ty ofi.Rt.fi_ty nfi.Rt.fi_ty)
+      else [])
+
+(* Copy same-named fields of the same reference-ness from each inverse
+   pair's new-layout snapshot into its zeroed old-layout replacement — the
+   default inverse transformation, applied to objects the app allocated
+   as new-version instances during a lazy window (they are in no update
+   log, so the rollback's redirect cannot restore them). *)
+let lazy_untransform_defaults vm (inv_log : int array) =
+  ignore
+    (copy_over_log vm inv_log (fun old_cls new_cls ->
+         field_pairs old_cls new_cls (fun ofi nfi ->
+             CF.Types.is_reference ofi.Rt.fi_ty
+             = CF.Types.is_reference nfi.Rt.fi_ty))
+      : int)
 
 let unload_transformer vm (rc : Rt.rt_class) =
   Hashtbl.remove vm.State.reg.Rt.by_name rc.Rt.name;
-  rc.Rt.valid <- false;
-  Array.iter
-    (fun (m : Rt.rt_method) ->
-      m.Rt.m_valid <- false;
-      m.Rt.base_code <- None;
-      m.Rt.opt_code <- None)
-    rc.Rt.methods
+  strip_class rc
+
+(* Restore the plain epoch tag on every surviving update-log copy: after
+   a rollback the copies ARE the live objects again, and a later window
+   must not skip them as pristine copies. *)
+let scrub_copy_tags vm =
+  let heap = vm.State.heap in
+  let scan = ref 1 in
+  while !scan < heap.Heap.free do
+    let addr = !scan in
+    let gcw = heap.Heap.space.(addr + Heap.off_gc) in
+    if Heap.is_copy_tag gcw then
+      heap.Heap.space.(addr + Heap.off_gc) <- Heap.copy_tag_epoch gcw;
+    scan := addr + Gc.obj_size vm heap.Heap.space addr
+  done
+
+let try_rollback ?update_log vm txn =
+  match Txn.rollback ?update_log vm txn with
+  | () -> Ok ()
+  | exception ex -> Error (Printexc.to_string ex)
+
+(* The post-rollback step shared by the eager failure path and the lazy
+   window rollback, once the heap and metadata are back: audit the
+   metadata against the snapshot, give the copies a lazy log restored
+   their plain tags back, re-verify the heap, and report.  A rollback
+   that leaves ill-typed references standing is no rollback at all —
+   reporting it as unreliable is what routes the instance into the
+   orchestrator's quarantine policy.  Returns (rolled back, note for the
+   abort reason, ms since [t0]). *)
+let finish_rollback vm txn ~undone ~scrub ~t0 ~scope ~event ~reason ~pre
+    ~post =
+  let obs = vm.State.obs in
+  let rolled_back, note =
+    match undone with
+    | Error why -> (false, "; rollback raised: " ^ why)
+    | Ok () -> (
+        match Txn.audit vm txn with
+        | Ok () -> (true, "")
+        | Error why -> (false, "; audit: " ^ why))
+  in
+  if rolled_back && scrub then scrub_copy_tags vm;
+  let rolled_back, note =
+    match
+      if rolled_back && vm.State.config.verify_heap then
+        Some (Jv_vm.Heapverify.run vm)
+      else None
+    with
+    | Some rep when not rep.Jv_vm.Heapverify.hv_ok ->
+        Jv_obs.Obs.incr obs (scope ^ ".post_rollback_verify_failures");
+        ( false,
+          note
+          ^ Printf.sprintf "; post-rollback heap verify found %d issue(s): %s"
+              rep.Jv_vm.Heapverify.hv_total_issues
+              (match rep.Jv_vm.Heapverify.hv_issues with
+              | i :: _ -> Jv_vm.Heapverify.issue_to_string i
+              | [] -> "?") )
+    | _ -> (rolled_back, note)
+  in
+  let ms = (now () -. t0) *. 1000.0 in
+  Jv_obs.Obs.incr obs (scope ^ ".rollbacks");
+  Jv_obs.Obs.observe obs (scope ^ ".rollback_ms") ms;
+  Jv_obs.Obs.emit obs ~scope event
+    (pre
+    @ [
+        ("reason", Jv_obs.Obs.Str reason);
+        ("ok", Jv_obs.Obs.Str (string_of_bool rolled_back));
+      ]
+    @ post
+    @ [ ("note", Jv_obs.Obs.Str note); ("ms", Jv_obs.Obs.Float ms) ]);
+  (rolled_back, note, ms)
 
 (* --- the lazy update window ----------------------------------------------
 
@@ -657,14 +819,11 @@ type lazy_via = L_barrier | L_sweep | L_force
 
 type lazy_ctx = {
   lz_txn : Txn.t; (* open until finalize or rollback *)
-  lz_resolver : resolver; (* its spec also recomputes the restricted set *)
-  lz_carrier : State.vthread;
-  lz_sandbox : State.sandbox; (* active only around invocations *)
+  lz_engine : engine; (* its spec also recomputes the restricted set *)
   lz_scratch : int array; (* one rooted slot for sweeper/force targets *)
   lz_info : State.lazy_info;
   mutable lz_cursor : int; (* sweeper position in to-space *)
   mutable lz_cursor_gc : int; (* gc_count the cursor belongs to *)
-  mutable lz_abort : (cause * string) option;
   mutable lz_abort_attempts : int; (* rounds spent waiting to roll back *)
 }
 
@@ -677,8 +836,8 @@ let lazy_log_append vm (ctx : lazy_ctx) ~old_copy ~new_addr =
   if li.State.li_log_len + 2 > Array.length li.State.li_log then begin
     let a = Array.make (max 16 (2 * Array.length li.State.li_log)) 0 in
     Array.blit li.State.li_log 0 a 0 li.State.li_log_len;
-    vm.State.extra_roots <-
-      a :: List.filter (fun x -> x != li.State.li_log) vm.State.extra_roots;
+    unroot vm li.State.li_log;
+    vm.State.extra_roots <- a :: vm.State.extra_roots;
     (match vm.State.guard_retained with
     | Some g when g == li.State.li_log -> vm.State.guard_retained <- Some a
     | _ -> ());
@@ -688,73 +847,42 @@ let lazy_log_append vm (ctx : lazy_ctx) ~old_copy ~new_addr =
   li.State.li_log.(li.State.li_log_len + 1) <- Value.of_ref new_addr;
   li.State.li_log_len <- li.State.li_log_len + 2
 
-(* The carrier outlives the commit pause (transformers keep running at
-   barrier hits for the life of the window), and the scheduler reaps it
-   as done between invocations: re-register it so its frames are GC
-   roots while the transformer runs.  Recursive transforms arrive while
-   the carrier is mid-call and take a fresh temporary thread. *)
-let lazy_invoke vm (ctx : lazy_ctx) (m : Rt.rt_method) args =
-  if ctx.lz_carrier.State.frames = [] then begin
-    if not (List.memq ctx.lz_carrier vm.State.threads) then
-      vm.State.threads <- vm.State.threads @ [ ctx.lz_carrier ];
-    Interp.call_on vm ctx.lz_carrier m args
-  end
-  else Interp.call_sync vm m args
+let leave_window_scope vm (sb : State.sandbox) saved ~wm ~wm_gc =
+  vm.State.sandbox <- saved;
+  sb.State.sb_watermark <- wm;
+  sb.State.sb_watermark_gc <- wm_gc
 
-(* Run jvolveObject(new, old) for one freshly made pair.  Unlike the
-   eager phase the sandbox is installed only for the duration of the
-   invocation — app code between barrier hits must not be fuel-charged
-   or write-guarded — and the allocation watermark is reset per call so
-   the transformer's own temporaries are writable. *)
-let lazy_run_transformer vm (ctx : lazy_ctx) ~new_addr ~old_copy =
-  let heap = vm.State.heap in
-  let new_cid = Heap.class_id heap new_addr in
-  let old_cid = Heap.class_id heap old_copy in
-  let t = resolve_object_transformer vm ctx.lz_resolver ~new_cid ~old_cid in
-  let sb = ctx.lz_sandbox in
-  let saved_sandbox = vm.State.sandbox in
-  let saved_guard = sb.State.sb_guard in
-  let saved_wm = sb.State.sb_watermark in
-  let saved_wm_gc = sb.State.sb_watermark_gc in
+(* [invoke_object] in the lazy sandbox scope: the sandbox is installed
+   only for the invocation — app code between barrier hits must not be
+   fuel-charged or write-guarded — and the allocation watermark is reset
+   per call so the transformer's own temporaries are writable. *)
+let invoke_in_window vm en ~new_addr ~old_addr =
+  let sb = en.en_sandbox in
+  let saved = vm.State.sandbox in
+  let wm = sb.State.sb_watermark and wm_gc = sb.State.sb_watermark_gc in
   vm.State.sandbox <- Some sb;
-  sb.State.sb_steps <- 0;
-  sb.State.sb_watermark <- heap.Heap.free;
-  sb.State.sb_watermark_gc <- heap.Heap.gc_count;
-  Fun.protect
-    ~finally:(fun () ->
-      vm.State.sandbox <- saved_sandbox;
-      sb.State.sb_guard <- saved_guard;
-      sb.State.sb_watermark <- saved_wm;
-      sb.State.sb_watermark_gc <- saved_wm_gc)
-    (fun () ->
-      try
-        consult_transformer_faults vm sb ~bad_target:(Some old_copy);
-        match t with
-        | Plan p -> run_plan vm sb p ~new_addr ~old_addr:old_copy
-        | Method m ->
-            sb.State.sb_guard <- true;
-            ignore
-              (lazy_invoke vm ctx m
-                 [| Value.of_ref new_addr; Value.of_ref old_copy |])
-      with Interp.Sync_trap e | Interp.Trap e -> (
-        (* a nested transform aborted inside this invocation: the carrier
-           surfaced it as a generic blocked-call trap — keep the inner
-           typed cause instead *)
-        match ctx.lz_abort with
-        | Some (c, m') -> raise (Update_failure (c, m'))
-        | None ->
-            fail_transformer vm
-              (object_site vm ctx.lz_resolver t ~new_cid ~old_cid ~new_addr)
-              e))
+  sb.State.sb_watermark <- vm.State.heap.Heap.free;
+  sb.State.sb_watermark_gc <- vm.State.heap.Heap.gc_count;
+  match invoke_object vm en ~new_addr ~old_addr with
+  | () -> leave_window_scope vm sb saved ~wm ~wm_gc
+  | exception e ->
+      leave_window_scope vm sb saved ~wm ~wm_gc;
+      raise e
+
+let count_transform (li : State.lazy_info) via d =
+  li.State.li_transformed <- li.State.li_transformed + d;
+  match via with
+  | L_barrier -> li.State.li_barrier_hits <- li.State.li_barrier_hits + d
+  | L_sweep -> li.State.li_swept <- li.State.li_swept + d
+  | L_force -> ()
 
 (* Transform the object referenced by [slots.(idx)] if it is still
    pending, chase an already-installed marker, and rewrite the slot.
    [slots] must be a GC root (an operand stack, the scratch root): the
    transformer may allocate and collect. *)
 let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
-  (match ctx.lz_abort with
-  | Some _ -> raise Interp.Lazy_abort
-  | None -> ());
+  let en = ctx.lz_engine in
+  if en.en_abort <> None then raise Interp.Lazy_abort;
   let heap = vm.State.heap in
   let li = ctx.lz_info in
   let addr = Value.to_ref slots.(idx) in
@@ -773,14 +901,8 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
     match Hashtbl.find_opt li.State.li_plan cid with
     | None -> ()
     | Some new_cid ->
-        let old_cls = Rt.class_by_id vm.State.reg cid in
         let new_cls = Rt.class_by_id vm.State.reg new_cid in
-        let old_size =
-          if old_cls.Rt.is_array then
-            Heap.array_header_words
-            + heap.Heap.space.(addr + Heap.off_array_len)
-          else old_cls.Rt.size_words
-        in
+        let old_size = Gc.obj_size vm heap.Heap.space addr in
         (* both allocations must land without an intervening collection,
            so the blit source cannot move between them *)
         State.ensure_free vm (new_cls.Rt.size_words + old_size);
@@ -800,35 +922,26 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
            instead of recursing *)
         heap.Heap.space.(addr + Heap.off_gc) <- Heap.make_lazy_fwd new_addr;
         lazy_log_append vm ctx ~old_copy ~new_addr;
-        State.sandbox_allow vm ctx.lz_sandbox new_addr;
+        State.sandbox_allow vm en.en_sandbox new_addr;
         slots.(idx) <- Value.of_ref new_addr;
-        li.State.li_transformed <- li.State.li_transformed + 1;
-        (match via with
-        | L_barrier ->
-            li.State.li_barrier_hits <- li.State.li_barrier_hits + 1
-        | L_sweep -> li.State.li_swept <- li.State.li_swept + 1
-        | L_force -> ());
+        count_transform li via 1;
         let gc_before = heap.Heap.gc_count in
-        (try lazy_run_transformer vm ctx ~new_addr ~old_copy
-         with Update_failure (cause, msg) ->
-           (* undo the pair when nothing moved, so the failed transform
-              leaves no marker behind; after a collection the rollback's
-              redirect restores it from the copy instead *)
-           if heap.Heap.gc_count = gc_before then begin
-             heap.Heap.space.(addr + Heap.off_gc) <- old_tag;
-             li.State.li_log_len <- li.State.li_log_len - 2;
-             slots.(idx) <- Value.of_ref addr;
-             li.State.li_transformed <- li.State.li_transformed - 1;
-             match via with
-             | L_barrier ->
-                 li.State.li_barrier_hits <- li.State.li_barrier_hits - 1
-             | L_sweep -> li.State.li_swept <- li.State.li_swept - 1
-             | L_force -> ()
-           end;
-           if ctx.lz_abort = None then ctx.lz_abort <- Some (cause, msg);
-           Jv_obs.Obs.emit vm.State.obs ~scope:"core.lazy" "lazy.abort"
-             [ ("reason", Jv_obs.Obs.Str msg) ];
-           raise Interp.Lazy_abort)
+        match invoke_in_window vm en ~new_addr ~old_addr:old_copy with
+        | () -> ()
+        | exception Update_failure (cause, msg) ->
+            (* undo the pair when nothing moved, so the failed transform
+               leaves no marker behind; after a collection the rollback's
+               redirect restores it from the copy instead *)
+            if heap.Heap.gc_count = gc_before then begin
+              heap.Heap.space.(addr + Heap.off_gc) <- old_tag;
+              li.State.li_log_len <- li.State.li_log_len - 2;
+              slots.(idx) <- Value.of_ref addr;
+              count_transform li via (-1)
+            end;
+            if en.en_abort = None then en.en_abort <- Some (cause, msg);
+            Jv_obs.Obs.emit vm.State.obs ~scope:"core.lazy" "lazy.abort"
+              [ ("reason", Jv_obs.Obs.Str msg) ];
+            raise Interp.Lazy_abort
 
 (* The read barrier (State.lazy_barrier).  Fast path: one gc-word load
    and compare against the window's epoch.  Old-epoch objects of
@@ -864,6 +977,7 @@ let lazy_force vm (ctx : lazy_ctx) addr =
 let sweep_pass vm (ctx : lazy_ctx) ~budget =
   let heap = vm.State.heap in
   let li = ctx.lz_info in
+  let en = ctx.lz_engine in
   if ctx.lz_cursor_gc <> heap.Heap.gc_count then begin
     (* a collection moved everything: restart the walk in new to-space *)
     ctx.lz_cursor <- 1;
@@ -874,18 +988,15 @@ let sweep_pass vm (ctx : lazy_ctx) ~budget =
     !budget > 0
     && ctx.lz_cursor < heap.Heap.free
     && ctx.lz_cursor_gc = heap.Heap.gc_count
-    && ctx.lz_abort = None
+    && en.en_abort = None
   do
     let addr = ctx.lz_cursor in
-    let cid = heap.Heap.space.(addr + Heap.off_class) in
-    let cls = Rt.class_by_id vm.State.reg cid in
-    let size =
-      if cls.Rt.is_array then
-        Heap.array_header_words + heap.Heap.space.(addr + Heap.off_array_len)
-      else cls.Rt.size_words
-    in
+    let size = Gc.obj_size vm heap.Heap.space addr in
     let gcw = heap.Heap.space.(addr + Heap.off_gc) in
-    if Heap.is_plain_tag gcw && Hashtbl.mem li.State.li_plan cid then begin
+    if
+      Heap.is_plain_tag gcw
+      && Hashtbl.mem li.State.li_plan heap.Heap.space.(addr + Heap.off_class)
+    then begin
       ctx.lz_scratch.(0) <- Value.of_ref addr;
       (try transform_slot vm ctx ~via:L_sweep ctx.lz_scratch 0
        with Interp.Lazy_abort -> ());
@@ -896,42 +1007,62 @@ let sweep_pass vm (ctx : lazy_ctx) ~budget =
     decr budget;
     if ctx.lz_cursor_gc = heap.Heap.gc_count then ctx.lz_cursor <- addr + size
   done;
-  ctx.lz_abort = None
+  en.en_abort = None
   && ctx.lz_cursor >= heap.Heap.free
   && ctx.lz_cursor_gc = heap.Heap.gc_count
 
-(* Restore the plain epoch tag on every surviving update-log copy: after
-   a rollback the copies ARE the live objects again, and a later window
-   must not skip them as pristine copies. *)
-let scrub_copy_tags vm =
-  let heap = vm.State.heap in
-  let scan = ref 1 in
-  while !scan < heap.Heap.free do
-    let addr = !scan in
-    let cid = heap.Heap.space.(addr + Heap.off_class) in
-    let cls = Rt.class_by_id vm.State.reg cid in
-    let size =
-      if cls.Rt.is_array then
-        Heap.array_header_words + heap.Heap.space.(addr + Heap.off_array_len)
-      else cls.Rt.size_words
-    in
-    let gcw = heap.Heap.space.(addr + Heap.off_gc) in
-    if Heap.is_copy_tag gcw then
-      heap.Heap.space.(addr + Heap.off_gc) <- Heap.copy_tag_epoch gcw;
-    scan := addr + size
-  done
+(* The lazy heap pass: no collection.  Bump the heap epoch, open the
+   window and install the read barrier; old-epoch objects transform on
+   first access and the scheduler's sweeper drains the rest. *)
+let open_window vm en txn plan =
+  vm.State.heap.Heap.epoch <- vm.State.heap.Heap.epoch + 1;
+  let li =
+    {
+      State.li_plan = plan;
+      li_epoch = vm.State.heap.Heap.epoch;
+      li_log = Array.make 16 0;
+      li_log_len = 0;
+      li_transformed = 0;
+      li_barrier_hits = 0;
+      li_swept = 0;
+      li_chases = 0;
+    }
+  in
+  vm.State.lazy_info <- Some li;
+  let scratch = Array.make 1 0 in
+  vm.State.extra_roots <- scratch :: li.State.li_log :: vm.State.extra_roots;
+  (* the sandbox is installed only around transformer invocations — the
+     app code running between barrier hits is not fuel-charged *)
+  vm.State.sandbox <- None;
+  let ctx =
+    {
+      lz_txn = txn;
+      lz_engine = en;
+      lz_scratch = scratch;
+      lz_info = li;
+      lz_cursor = 1;
+      lz_cursor_gc = vm.State.heap.Heap.gc_count;
+      lz_abort_attempts = 0;
+    }
+  in
+  vm.State.lazy_barrier <- Some (lazy_barrier_hook ctx);
+  vm.State.force_transform <- Some (fun vm addr -> lazy_force vm ctx addr);
+  ctx
 
-(* Detach the window's hooks and per-window resources (shared by
-   finalize and rollback). *)
-let lazy_detach vm (ctx : lazy_ctx) =
+(* Detach the window's hooks and resources, unload its transformer
+   class, and return its log trimmed to the pairs made (shared by
+   finalize, rollback, and a commit that failed in the pause). *)
+let close_window vm (ctx : lazy_ctx) =
+  let li = ctx.lz_info in
   vm.State.lazy_barrier <- None;
   vm.State.lazy_sweep <- None;
   vm.State.lazy_drain <- None;
-  vm.State.force_transform <- None;
-  State.sandbox_dispose vm ctx.lz_sandbox;
-  Interp.release_carrier vm ctx.lz_carrier;
-  vm.State.extra_roots <-
-    List.filter (fun a -> a != ctx.lz_scratch) vm.State.extra_roots
+  vm.State.lazy_info <- None;
+  release_engine vm ctx.lz_engine;
+  unload_transformer vm ctx.lz_engine.en_rc;
+  unroot vm ctx.lz_scratch;
+  unroot vm li.State.li_log;
+  Array.sub li.State.li_log 0 li.State.li_log_len
 
 (* Every pending object has been transformed: commit the transaction
    that has been open since the pause.  When a guard window rides on the
@@ -939,21 +1070,13 @@ let lazy_detach vm (ctx : lazy_ctx) =
    the whole array, so the growth slack must go. *)
 let lazy_finalize vm (ctx : lazy_ctx) =
   let li = ctx.lz_info in
-  lazy_detach vm ctx;
-  unload_transformer vm ctx.lz_resolver.rs_rc;
-  let trimmed = Array.sub li.State.li_log 0 li.State.li_log_len in
+  let trimmed = close_window vm ctx in
   (match vm.State.guard_retained with
   | Some g when g == li.State.li_log ->
-      vm.State.extra_roots <-
-        trimmed
-        :: List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
+      vm.State.extra_roots <- trimmed :: vm.State.extra_roots;
       vm.State.guard_retained <- Some trimmed;
       Txn.commit_retaining vm ctx.lz_txn ~update_log:trimmed
-  | _ ->
-      vm.State.extra_roots <-
-        List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
-      Txn.commit vm ctx.lz_txn);
-  vm.State.lazy_info <- None;
+  | _ -> Txn.commit vm ctx.lz_txn);
   (* every pending object is transformed, but interior pointers still
      aiming at lazy-forward markers are only rewritten on dereference —
      and the barrier is gone now.  One collection chases them all (the
@@ -971,34 +1094,6 @@ let lazy_finalize vm (ctx : lazy_ctx) =
       ("chases", Jv_obs.Obs.Int li.State.li_chases);
     ]
 
-(* Copy same-named fields from each inverse pair's new-layout snapshot
-   into its zeroed old-layout replacement — the default inverse
-   transformation, applied to objects the app allocated as new-version
-   instances during the window (they are in no update log, so the
-   rollback's redirect cannot restore them). *)
-let lazy_untransform_defaults vm (inv_log : int array) =
-  let heap = vm.State.heap in
-  let reg = vm.State.reg in
-  for i = 0 to (Array.length inv_log / 2) - 1 do
-    let snap = Value.to_ref inv_log.(2 * i)
-    and restored = Value.to_ref inv_log.((2 * i) + 1) in
-    let new_cls = Rt.class_by_id reg (Heap.class_id heap snap) in
-    let old_cls = Rt.class_by_id reg (Heap.class_id heap restored) in
-    Array.iter
-      (fun (ofi : Rt.field_info) ->
-        Array.iter
-          (fun (nfi : Rt.field_info) ->
-            if
-              String.equal ofi.Rt.fi_name nfi.Rt.fi_name
-              && CF.Types.is_reference ofi.Rt.fi_ty
-                 = CF.Types.is_reference nfi.Rt.fi_ty
-            then
-              Heap.set heap ~addr:restored ~off:ofi.Rt.fi_offset
-                (Heap.get heap ~addr:snap ~off:nfi.Rt.fi_offset))
-          new_cls.Rt.instance_fields)
-      old_cls.Rt.instance_fields
-  done
-
 (* Roll the whole window back: the VM resumes on the old version as if
    the update never committed.  Unlike the eager failure path the app
    has been RUNNING on the new version, so this needs a DSU-grade sync:
@@ -1014,14 +1109,11 @@ let lazy_untransform_defaults vm (inv_log : int array) =
    inverse transform plan (new cid -> old cid) replaces app-allocated
    new-version instances with default-untransformed old-layout objects.
    After the metadata swap a plain collection flushes the garbage this
-   left behind (its class ids dangle once the registry is truncated). *)
+   left behind (its class ids dangle once the registry is truncated);
+   [finish_rollback] then audits, scrubs the copy tags and verifies. *)
 let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
-  let _, reason =
-    match ctx.lz_abort with
-    | Some (c, r) -> (c, r)
-    | None -> (C_generic, "lazy window rollback")
-  in
-  let restricted = Safepoint.compute vm ctx.lz_resolver.rs_spec in
+  let en = ctx.lz_engine in
+  let restricted = Safepoint.compute vm en.en_spec in
   match Safepoint.check vm restricted with
   | Safepoint.Blocked stuck when not force ->
       ignore (Safepoint.install_barriers stuck : int);
@@ -1034,51 +1126,30 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
         | Safepoint.Blocked _ -> ([], true)
       in
       let li = ctx.lz_info in
-      let obs = vm.State.obs in
       let t0 = now () in
-      lazy_detach vm ctx;
-      unload_transformer vm ctx.lz_resolver.rs_rc;
+      let trimmed = close_window vm ctx in
       (* the guard window (if any) rode on this log and dies with it *)
       (match vm.State.guard_retained with
       | Some g when g == li.State.li_log ->
           vm.State.guard_retained <- None;
           vm.State.guard_tick <- None
       | _ -> ());
-      let trimmed = Array.sub li.State.li_log 0 li.State.li_log_len in
-      vm.State.extra_roots <-
-        List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
-      vm.State.lazy_info <- None;
       (* 1: the combined redirect + inverse-transform collection (still
          on new metadata) *)
-      let redirect = Hashtbl.create (max 16 (Array.length trimmed)) in
-      for i = 0 to (Array.length trimmed / 2) - 1 do
-        Hashtbl.replace redirect
-          (Value.to_ref trimmed.((2 * i) + 1))
-          (Value.to_ref trimmed.(2 * i))
-      done;
+      let redirect = Txn.redirect_of_log trimmed in
       let inv_plan = Hashtbl.create 16 in
       Hashtbl.iter
         (fun old_cid new_cid -> Hashtbl.replace inv_plan new_cid old_cid)
         li.State.li_plan;
       let invres = Gc.collect ~plan:inv_plan ~redirect vm in
       lazy_untransform_defaults vm invres.Gc.update_log;
-      (* 2: the copies the redirect restored are live again *)
-      scrub_copy_tags vm;
-      (* 3: metadata + statics back to the snapshot (no heap pass: step 1
+      (* 2: metadata + statics back to the snapshot (no heap pass: step 1
          already did it) *)
-      let rolled_back, note =
-        match Txn.rollback vm ctx.lz_txn with
-        | () -> (
-            match Txn.audit vm ctx.lz_txn with
-            | Ok () -> (true, "")
-            | Error why -> (false, "; audit: " ^ why))
-        | exception ex ->
-            (false, "; rollback raised: " ^ Printexc.to_string ex)
-      in
-      (* 4: flush the inverse collection's own snapshots (their class ids
+      let undone = try_rollback vm ctx.lz_txn in
+      (* 3: flush the inverse collection's own snapshots (their class ids
          dangle now that the registry is truncated) *)
       ignore (Gc.collect vm);
-      (* 5: lift stale-code frames onto the restored metadata *)
+      (* 4: lift stale-code frames onto the restored metadata *)
       let osr_failures = ref 0 in
       List.iter
         (fun fr ->
@@ -1088,38 +1159,28 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
       Safepoint.clear_barriers vm;
       Safepoint.release_parked vm;
       if forced_through then
-        Jv_obs.Obs.incr obs "core.lazy.rollback_unsafe_frames";
-      let rolled_back, note =
-        if rolled_back && vm.State.config.verify_heap then begin
-          let rep = Jv_vm.Heapverify.run vm in
-          if rep.Jv_vm.Heapverify.hv_ok then (rolled_back, note)
-          else
-            ( false,
-              note
-              ^ Printf.sprintf "; post-rollback heap verify found %d issue(s)"
-                  rep.Jv_vm.Heapverify.hv_total_issues )
-        end
-        else (rolled_back, note)
-      in
-      let ms = (now () -. t0) *. 1000.0 in
-      Jv_obs.Obs.incr obs "core.lazy.rollbacks";
-      Jv_obs.Obs.observe obs "core.lazy.rollback_ms" ms;
-      Jv_obs.Obs.emit obs ~scope:"core.lazy" "lazy.rollback"
-        [
-          ("reason", Jv_obs.Obs.Str reason);
-          ("ok", Jv_obs.Obs.Str (string_of_bool rolled_back));
-          ("transformed", Jv_obs.Obs.Int li.State.li_transformed);
-          ("forced", Jv_obs.Obs.Str (string_of_bool forced_through));
-          ("osr_failures", Jv_obs.Obs.Int !osr_failures);
-          ("note", Jv_obs.Obs.Str note);
-          ("ms", Jv_obs.Obs.Float ms);
-        ];
+        Jv_obs.Obs.incr vm.State.obs "core.lazy.rollback_unsafe_frames";
+      ignore
+        (finish_rollback vm ctx.lz_txn ~undone ~scrub:true ~t0
+           ~scope:"core.lazy" ~event:"lazy.rollback"
+           ~reason:
+             (match en.en_abort with
+             | Some (_, r) -> r
+             | None -> "lazy window rollback")
+           ~pre:[]
+           ~post:
+             [
+               ("transformed", Jv_obs.Obs.Int li.State.li_transformed);
+               ("forced", Jv_obs.Obs.Str (string_of_bool forced_through));
+               ("osr_failures", Jv_obs.Obs.Int !osr_failures);
+             ]
+          : bool * string * float);
       true
 
 (* The per-round hook (State.lazy_sweep): roll back if aborting, else
    sweep one budget's worth and finalize on completion. *)
 let lazy_round (ctx : lazy_ctx) vm =
-  match ctx.lz_abort with
+  match ctx.lz_engine.en_abort with
   | Some _ ->
       ctx.lz_abort_attempts <- ctx.lz_abort_attempts + 1;
       ignore
@@ -1133,7 +1194,7 @@ let lazy_round (ctx : lazy_ctx) vm =
    resolved before it can install metadata.  Returns false when a
    residual transformer trapped and the window rolled back instead. *)
 let rec lazy_drain_now (ctx : lazy_ctx) vm =
-  if ctx.lz_abort <> None then begin
+  if ctx.lz_engine.en_abort <> None then begin
     ignore (lazy_rollback vm ctx ~force:true : bool);
     false
   end
@@ -1143,77 +1204,37 @@ let rec lazy_drain_now (ctx : lazy_ctx) vm =
   end
   else lazy_drain_now ctx vm
 
-(* Class transformers at a lazy commit: same contract as the eager phase
-   (fresh fuel, no write guard — statics reinitialization legitimately
-   reaches arbitrary objects), but run through [lazy_invoke] with the
-   barrier live, since they dereference old-epoch statics and force
-   transforms as they go (the paper's eager islands inside the lazy
-   window). *)
-let run_class_transformers_lazy vm (spec : Spec.t) (ctx : lazy_ctx) =
-  List.iter
-    (fun cname ->
-      match
-        find_transformer_method ctx.lz_resolver.rs_rc ~name:"jvolveClass"
-          ~params:[ CF.Types.TRef cname ]
-      with
-      | None -> uerr "no jvolveClass(%s) in transformer class" cname
-      | Some m ->
-          let site =
-            {
-              ts_method = Rt.method_qname ctx.lz_resolver.rs_rc m;
-              ts_class = cname;
-              ts_object = 0;
-            }
-          in
-          let sb = ctx.lz_sandbox in
-          let saved_sandbox = vm.State.sandbox in
-          vm.State.sandbox <- Some sb;
-          sb.State.sb_steps <- 0;
-          Fun.protect
-            ~finally:(fun () -> vm.State.sandbox <- saved_sandbox)
-            (fun () ->
-              try
-                consult_transformer_faults vm sb ~bad_target:None;
-                ignore (lazy_invoke vm ctx m [| Value.null |])
-              with Interp.Sync_trap e | Interp.Trap e -> (
-                match ctx.lz_abort with
-                | Some (c, m') -> raise (Update_failure (c, m'))
-                | None -> fail_transformer vm site e)))
-    spec.Spec.diff.Diff.class_updates_closure
-
 (* --- the driver ----------------------------------------------------------- *)
 
-(* What OSR mutates per frame, for restoration when a later frame's
-   replacement (or an injected fault) aborts the update. *)
-type frame_snap = {
-  fs_code : Jv_vm.Machine.compiled;
-  fs_pc : int;
-  fs_locals : int array;
-  fs_ostack : int array;
-  fs_sp : int;
-}
-
+(* Snapshot what OSR mutates in a frame; the result restores it when a
+   later frame's replacement (or an injected fault) aborts the update. *)
 let snap_frame (fr : State.frame) =
-  {
-    fs_code = fr.State.code;
-    fs_pc = fr.State.pc;
-    fs_locals = Array.copy fr.State.locals;
-    fs_ostack = Array.copy fr.State.ostack;
-    fs_sp = fr.State.sp;
-  }
+  let code = fr.State.code and pc = fr.State.pc and sp = fr.State.sp in
+  let locals = Array.copy fr.State.locals in
+  let ostack = Array.copy fr.State.ostack in
+  fun () ->
+    fr.State.code <- code;
+    fr.State.pc <- pc;
+    fr.State.locals <- locals;
+    fr.State.ostack <- ostack;
+    fr.State.sp <- sp
 
-let restore_frame (fr : State.frame) s =
-  fr.State.code <- s.fs_code;
-  fr.State.pc <- s.fs_pc;
-  fr.State.locals <- s.fs_locals;
-  fr.State.ostack <- s.fs_ostack;
-  fr.State.sp <- s.fs_sp
+(* What the heap pass left for the rest of [apply]: the one step that
+   differs by mode. *)
+type heap_pass =
+  | Collected of transform_ctx (* eager: every pair, in the pause *)
+  | Window of lazy_ctx (* lazy: pairs made on first access *)
 
 (* The whole installation runs inside a [Txn]: any failure in the load /
    GC / transform / OSR phases — including the armed fault plan's
    [updater.*] injection points — rolls the VM back to the pre-update
    snapshot and reports a typed abort instead of leaving a half-installed
    class table (the paper's all-or-nothing claim, §3.3-3.4).
+
+   One sequence serves both modes: load -> heap pass -> class
+   transformers -> object transformers (eager only) -> replay (guard
+   revert only) -> verify -> OSR.  A lazy commit leaves its window open
+   and its [Txn] with it.
 
    Step order differs from the paper's presentation in one way: OSR runs
    {e last}, after the transformer phase.  The world is stopped either
@@ -1233,13 +1254,12 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
   (* a guard revert must be eager: the inverse replay reads restored
      objects immediately after the transforming collection *)
   let lazy_mode = vm.State.config.lazy_update && replay = None in
-  let lazy_ctx_r = ref None in
   let faults = vm.State.faults in
   let obs = vm.State.obs in
   let t0 = now () in
   let txn = Txn.capture vm in
   let phase = ref P_load in
-  let update_log = ref [||] in
+  let pass = ref None in
   let frame_snaps = ref [] in
   let run () =
     (* a guard-window revert: give the chaos plan its deterministic shot
@@ -1278,7 +1298,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         ("invalidated", Jv_obs.Obs.Int invalidated);
         ("osr_frames", Jv_obs.Obs.Int (List.length osr_frames));
       ];
-    (* 5: the transforming collection *)
+    (* 5: the heap pass — the transforming collection, or (lazy) none *)
     phase := P_gc;
     Faults.point faults "updater.gc";
     let plan = Hashtbl.create 16 in
@@ -1288,183 +1308,44 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         | Some new_rc -> Hashtbl.replace plan old_rc.Rt.cid new_rc.Rt.cid
         | None -> () (* deleted classes: instances survive untransformed *))
       olds;
-    if lazy_mode then begin
-      (* lazy commit: no heap pass at all.  Bump the heap epoch, open the
-         window, install the read barrier; old-epoch objects transform on
-         first access and the scheduler's sweeper drains the rest. *)
-      vm.State.heap.Heap.epoch <- vm.State.heap.Heap.epoch + 1;
-      let li =
-        {
-          State.li_plan = plan;
-          li_epoch = vm.State.heap.Heap.epoch;
-          li_log = Array.make 16 0;
-          li_log_len = 0;
-          li_transformed = 0;
-          li_barrier_hits = 0;
-          li_swept = 0;
-          li_chases = 0;
-        }
-      in
-      vm.State.lazy_info <- Some li;
-      vm.State.extra_roots <- li.State.li_log :: vm.State.extra_roots;
-      let sb =
-        State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel
-      in
-      (* the sandbox is installed only around transformer invocations —
-         the app code running between barrier hits is not fuel-charged *)
-      vm.State.sandbox <- None;
-      let scratch = Array.make 1 0 in
-      vm.State.extra_roots <- scratch :: vm.State.extra_roots;
-      let carrier = Interp.make_carrier vm in
-      (* idle between invocations: marked done so the scheduler never
-         slices it; [lazy_invoke] re-registers it per call *)
-      carrier.State.tstate <- State.T_done;
-      let lctx =
-        {
-          lz_txn = txn;
-          lz_resolver = make_resolver spec transformer_rc;
-          lz_carrier = carrier;
-          lz_sandbox = sb;
-          lz_scratch = scratch;
-          lz_info = li;
-          lz_cursor = 1;
-          lz_cursor_gc = vm.State.heap.Heap.gc_count;
-          lz_abort = None;
-          lz_abort_attempts = 0;
-        }
-      in
-      lazy_ctx_r := Some lctx;
-      vm.State.lazy_barrier <- Some (lazy_barrier_hook lctx);
-      vm.State.force_transform <-
-        Some (fun vm addr -> lazy_force vm lctx addr);
-      let t_gc = now () in
-      Jv_obs.Obs.emit obs ~scope:"core.update" "phase.gc.done"
-        [
-          ("ms", Jv_obs.Obs.Float ((t_gc -. t_load) *. 1000.0));
-          ("transformed", Jv_obs.Obs.Int 0);
-          ("copied", Jv_obs.Obs.Int 0);
-          ("lazy", Jv_obs.Obs.Str "true");
-        ];
-      (* 6: class transformers only — they run eagerly even in a lazy
-         update (statics must be coherent when the world resumes),
-         forcing through the barrier whatever objects they touch *)
-      phase := P_transform;
-      Faults.point faults "updater.transform";
-      run_class_transformers_lazy vm spec lctx;
-      let t_transform = now () in
-      Jv_obs.Obs.emit obs ~scope:"core.update" "phase.transform.done"
-        [
-          ("ms", Jv_obs.Obs.Float ((t_transform -. t_gc) *. 1000.0));
-          ("pairs", Jv_obs.Obs.Int (li.State.li_log_len / 2));
-          ("steps", Jv_obs.Obs.Int sb.State.sb_total_steps);
-        ];
-      if vm.State.config.verify_heap then begin
-        phase := P_verify;
-        let old_copies = Hashtbl.create 16 in
-        for i = 0 to (li.State.li_log_len / 2) - 1 do
-          Hashtbl.replace old_copies (Value.to_ref li.State.li_log.(2 * i)) ()
-        done;
-        let rep =
-          Jv_vm.Heapverify.run ~stale_ok:(Hashtbl.mem old_copies) vm
-        in
-        Jv_obs.Obs.emit obs ~scope:"core.update" "phase.verify.done"
-          [
-            ("ms", Jv_obs.Obs.Float rep.Jv_vm.Heapverify.hv_ms);
-            ("objects", Jv_obs.Obs.Int rep.Jv_vm.Heapverify.hv_objects);
-            ("issues", Jv_obs.Obs.Int rep.Jv_vm.Heapverify.hv_total_issues);
-          ];
-        if not rep.Jv_vm.Heapverify.hv_ok then begin
-          let msgs =
-            List.map Jv_vm.Heapverify.issue_to_string
-              rep.Jv_vm.Heapverify.hv_issues
-          in
-          raise
-            (Update_failure
-               ( C_heap_verify msgs,
-                 Printf.sprintf "heap verify found %d issue(s): %s"
-                   rep.Jv_vm.Heapverify.hv_total_issues
-                   (match msgs with m :: _ -> m | [] -> "?") ))
-        end
-      end;
-      let t_verify = now () in
-      phase := P_osr;
-      frame_snaps := List.map snap_frame osr_frames;
-      Faults.point faults "updater.osr";
-      List.iter
-        (fun fr ->
-          try Osr.replace_frame vm fr
-          with Osr.Osr_failed e -> uerr "OSR failed: %s" e)
-        osr_frames;
-      let t_end = now () in
-      {
-        u_load_ms = ((t_load -. t0) +. (t_end -. t_verify)) *. 1000.0;
-        u_gc_ms = (t_gc -. t_load) *. 1000.0;
-        u_transform_ms = (t_transform -. t_gc) *. 1000.0;
-        u_verify_ms = (t_verify -. t_transform) *. 1000.0;
-        u_total_ms = (t_end -. t0) *. 1000.0;
-        u_osr = List.length osr_frames;
-        u_invalidated_methods = invalidated;
-        u_transformed_objects = li.State.li_transformed;
-        u_copied_objects = 0;
-      }
-    end
-    else begin
-    let gcres = Gc.collect ~plan vm in
-    update_log := gcres.Gc.update_log;
+    let gcres = if lazy_mode then None else Some (Gc.collect ~plan vm) in
     let t_gc = now () in
+    let collected, copied =
+      match gcres with
+      | Some g -> (g.Gc.transformed_objects, g.Gc.copied_objects)
+      | None -> (0, 0)
+    in
     Jv_obs.Obs.emit obs ~scope:"core.update" "phase.gc.done"
-      [
-        ("ms", Jv_obs.Obs.Float ((t_gc -. t_load) *. 1000.0));
-        ("transformed", Jv_obs.Obs.Int gcres.Gc.transformed_objects);
-        ("copied", Jv_obs.Obs.Int gcres.Gc.copied_objects);
-      ];
+      ([
+         ("ms", Jv_obs.Obs.Float ((t_gc -. t_load) *. 1000.0));
+         ("transformed", Jv_obs.Obs.Int collected);
+         ("copied", Jv_obs.Obs.Int copied);
+       ]
+      @ if lazy_mode then [ ("lazy", Jv_obs.Obs.Str "true") ] else []);
     (* 6: transformers, sandboxed (fuel + write restriction) *)
     phase := P_transform;
-    let sb =
-      State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel
+    let en = make_engine vm spec transformer_rc in
+    let hp =
+      match gcres with
+      | Some g -> Collected (begin_pairs vm en g.Gc.update_log)
+      | None -> Window (open_window vm en txn plan)
     in
-    let ctx =
-      {
-        log = gcres.Gc.update_log;
-        n_pairs = Array.length gcres.Gc.update_log / 2;
-        status = Array.make (max 1 (Array.length gcres.Gc.update_log / 2)) 0;
-        index = Hashtbl.create 16;
-        index_gc_count = -1;
-        resolver = make_resolver spec transformer_rc;
-        carrier = Interp.make_carrier vm;
-        sandbox = sb;
-      }
-    in
-    vm.State.extra_roots <- ctx.log :: vm.State.extra_roots;
-    (* every new-layout object in the log is a legitimate write target *)
-    for i = 0 to ctx.n_pairs - 1 do
-      State.sandbox_allow vm sb (Value.to_ref ctx.log.((2 * i) + 1))
-    done;
-    vm.State.force_transform <-
-      Some (fun vm addr -> force_transform vm ctx addr);
-    let finish_transformers ~keep_log () =
-      State.sandbox_dispose vm sb;
-      vm.State.force_transform <- None;
-      Interp.release_carrier vm ctx.carrier;
-      (* [keep_log]: a guard window will retain the log past commit, so
-         it must stay rooted (the failure path always unroots) *)
-      if not keep_log then
-        vm.State.extra_roots <-
-          List.filter (fun a -> a != ctx.log) vm.State.extra_roots
-    in
-    (try
-       Faults.point faults "updater.transform";
-       run_class_transformers vm spec ctx;
-       for i = 0 to ctx.n_pairs - 1 do
-         Faults.point faults "updater.transform";
-         run_pair vm ctx i
-       done;
-       finish_transformers ~keep_log:retain_log ()
-     with e ->
-       finish_transformers ~keep_log:false ();
-       raise e);
-    (* 7: drop the transformer class; the log is already unreachable *)
-    unload_transformer vm transformer_rc;
+    pass := Some hp;
+    Faults.point faults "updater.transform";
+    run_class_transformers vm en;
+    (match hp with
+    | Collected ctx ->
+        for i = 0 to ctx.n_pairs - 1 do
+          Faults.point faults "updater.transform";
+          run_pair vm ctx i
+        done;
+        release_engine vm en;
+        (* a guard window retains the log past commit, so it stays
+           rooted; otherwise it is unreachable from here on *)
+        if not retain_log then unroot vm ctx.log;
+        (* 7: drop the transformer class *)
+        unload_transformer vm transformer_rc
+    | Window _ -> ());
     (* 7.25: guard revert only — restore the fields the forward update
        dropped from the retained forward log (see [replay_retained]) *)
     (match replay with
@@ -1477,23 +1358,28 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
             ("pairs", Jv_obs.Obs.Int (Array.length fwd_log / 2));
           ]
     | _ -> ());
+    let log, n_pairs =
+      match hp with
+      | Collected ctx -> (ctx.log, ctx.n_pairs)
+      | Window w -> (w.lz_info.State.li_log, w.lz_info.State.li_log_len / 2)
+    in
     let t_transform = now () in
-    Jv_obs.Obs.observe_int obs "core.update.transformer_steps"
-      sb.State.sb_total_steps;
+    let steps = en.en_sandbox.State.sb_total_steps in
+    Jv_obs.Obs.observe_int obs "core.update.transformer_steps" steps;
     Jv_obs.Obs.emit obs ~scope:"core.update" "phase.transform.done"
       [
         ("ms", Jv_obs.Obs.Float ((t_transform -. t_gc) *. 1000.0));
-        ("pairs", Jv_obs.Obs.Int ctx.n_pairs);
-        ("steps", Jv_obs.Obs.Int sb.State.sb_total_steps);
+        ("pairs", Jv_obs.Obs.Int n_pairs);
+        ("steps", Jv_obs.Obs.Int steps);
       ];
     (* 7.5: the post-transform heap integrity walk.  The old copies in
        the update log are the one place stale-class instances may
        legally survive. *)
     if vm.State.config.verify_heap then begin
       phase := P_verify;
-      let old_copies = Hashtbl.create (max 16 ctx.n_pairs) in
-      for i = 0 to ctx.n_pairs - 1 do
-        Hashtbl.replace old_copies (Value.to_ref ctx.log.(2 * i)) ()
+      let old_copies = Hashtbl.create (max 16 n_pairs) in
+      for i = 0 to n_pairs - 1 do
+        Hashtbl.replace old_copies (Value.to_ref log.(2 * i)) ()
       done;
       let rep =
         Jv_vm.Heapverify.run ~stale_ok:(Hashtbl.mem old_copies) vm
@@ -1536,26 +1422,28 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
       u_total_ms = (t_end -. t0) *. 1000.0;
       u_osr = List.length osr_frames;
       u_invalidated_methods = invalidated;
-      u_transformed_objects = gcres.Gc.transformed_objects;
-      u_copied_objects = gcres.Gc.copied_objects;
+      u_transformed_objects =
+        (match hp with
+        | Collected _ -> collected
+        | Window w -> w.lz_info.State.li_transformed);
+      u_copied_objects = copied;
     }
-    end
   in
   match run () with
   | timings ->
-      (match !lazy_ctx_r with
-      | Some lctx ->
+      (match !pass with
+      | Some (Window w) ->
           (* the window stays open (and the txn with it): the scheduler
              sweeps it and finalize/rollback closes it *)
-          vm.State.lazy_sweep <- Some (lazy_round lctx);
-          vm.State.lazy_drain <- Some (lazy_drain_now lctx);
+          vm.State.lazy_sweep <- Some (lazy_round w);
+          vm.State.lazy_drain <- Some (lazy_drain_now w);
           if retain_log then
-            vm.State.guard_retained <- Some lctx.lz_info.State.li_log;
+            vm.State.guard_retained <- Some w.lz_info.State.li_log;
           Jv_obs.Obs.emit obs ~scope:"core.lazy" "lazy.window.open"
-            [ ("epoch", Jv_obs.Obs.Int lctx.lz_info.State.li_epoch) ]
-      | None ->
-          if retain_log then Txn.commit_retaining vm txn ~update_log:!update_log
-          else Txn.commit vm txn);
+            [ ("epoch", Jv_obs.Obs.Int w.lz_info.State.li_epoch) ]
+      | Some (Collected ctx) when retain_log ->
+          Txn.commit_retaining vm txn ~update_log:ctx.log
+      | _ -> Txn.commit vm txn);
       Ok timings
   | exception e ->
       let reason, cause, killed_at =
@@ -1575,79 +1463,37 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
             raise e
       in
       let rt0 = now () in
-      (* a lazy commit that failed before opening the window: the world
-         never resumed, so the pairs made so far roll back exactly like
-         an eager log — detach the half-built window first *)
-      (match !lazy_ctx_r with
-      | Some lctx ->
-          let li = lctx.lz_info in
-          lazy_detach vm lctx;
-          update_log := Array.sub li.State.li_log 0 li.State.li_log_len;
-          vm.State.extra_roots <-
-            List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
-          vm.State.lazy_info <- None
-      | None -> ());
-      (* with [retain_log], the log stayed rooted past the transform phase;
-         a verify/OSR failure must unroot it before the rollback's redirect
-         collection, or the redirect would rewrite the log's own slots *)
-      if retain_log && Array.length !update_log > 0 then
-        vm.State.extra_roots <-
-          List.filter (fun a -> a != !update_log) vm.State.extra_roots;
-      (match !frame_snaps with
-      | [] -> ()
-      | snaps -> List.iter2 restore_frame osr_frames snaps);
-      let rolled_back, rollback_note =
-        match Txn.rollback ~update_log:!update_log vm txn with
-        | () -> (
-            match Txn.audit vm txn with
-            | Ok () -> (true, "")
-            | Error why -> (false, "; audit: " ^ why))
-        | exception ex ->
-            (false, "; rollback raised: " ^ Printexc.to_string ex)
+      let log =
+        match !pass with
+        | Some (Collected ctx) ->
+            release_engine vm ctx.engine;
+            ctx.log
+        | Some (Window w) ->
+            (* a lazy commit that failed before opening the window: the
+               world never resumed, so the pairs made so far roll back
+               exactly like an eager log *)
+            close_window vm w
+        | None -> [||]
       in
-      (* the redirect collection restored lazy pairs from their pristine
-         copies, which still carry copy tags: make them plain live
-         objects again or a later window would skip them *)
-      if !lazy_ctx_r <> None && rolled_back && Array.length !update_log > 0
-      then scrub_copy_tags vm;
-      (* Re-verify the restored heap: a rollback that leaves ill-typed
-         references standing is no rollback at all — reporting it as
-         unreliable is what routes the instance into the orchestrator's
-         quarantine policy. *)
-      let rolled_back, rollback_note =
-        if rolled_back && vm.State.config.verify_heap then begin
-          let rep = Jv_vm.Heapverify.run vm in
-          if rep.Jv_vm.Heapverify.hv_ok then (rolled_back, rollback_note)
-          else begin
-            Jv_obs.Obs.incr obs "core.update.post_rollback_verify_failures";
-            ( false,
-              rollback_note
-              ^ Printf.sprintf "; post-rollback heap verify found %d issue(s): %s"
-                  rep.Jv_vm.Heapverify.hv_total_issues
-                  (match rep.Jv_vm.Heapverify.hv_issues with
-                  | i :: _ -> Jv_vm.Heapverify.issue_to_string i
-                  | [] -> "?") )
-          end
-        end
-        else (rolled_back, rollback_note)
+      (* the log may still be rooted (the transformers failed, or a guard
+         window was to retain it): unroot it before the rollback's
+         redirect collection, or the redirect would rewrite the log's own
+         slots *)
+      if Array.length log > 0 then unroot vm log;
+      List.iter (fun restore -> restore ()) !frame_snaps;
+      let undone = try_rollback ~update_log:log vm txn in
+      Option.iter (fun pt -> vm.State.killed <- Some pt) killed_at;
+      let rolled_back, note, rollback_ms =
+        finish_rollback vm txn ~undone
+          ~scrub:(lazy_mode && Array.length log > 0)
+          ~t0:rt0 ~scope:"core.update" ~event:"update.rollback" ~reason
+          ~pre:[ ("phase", Jv_obs.Obs.Str (phase_to_string !phase)) ]
+          ~post:[]
       in
-      (match killed_at with
-      | Some pt -> vm.State.killed <- Some pt
-      | None -> ());
-      let rollback_ms = (now () -. rt0) *. 1000.0 in
-      Jv_obs.Obs.incr obs "core.update.rollbacks";
-      Jv_obs.Obs.observe obs "core.update.rollback_ms" rollback_ms;
-      Jv_obs.Obs.emit obs ~scope:"core.update" "update.rollback"
-        [
-          ("phase", Jv_obs.Obs.Str (phase_to_string !phase));
-          ("reason", Jv_obs.Obs.Str reason);
-          ("ok", Jv_obs.Obs.Str (string_of_bool rolled_back));
-          ("ms", Jv_obs.Obs.Float rollback_ms);
-        ];
       Error
         {
           a_phase = !phase;
-          a_reason = reason ^ rollback_note;
+          a_reason = reason ^ note;
           a_cause = cause;
           a_rolled_back = rolled_back;
           a_rollback_ms = rollback_ms;

@@ -319,29 +319,6 @@ let quarantine t id ~why =
 
 (* --- stage entry ------------------------------------------------------- *)
 
-(* Forward updates are guarded when [params.guard] is set; a config
-   without a probe gets the profile's health probe on the instance's own
-   port.  Rollbacks are never guarded. *)
-let guard_for t (i : Instance.t) =
-  match (t.direction, t.params.guard) with
-  | Rollback _, _ | _, None -> None
-  | Forward, Some cfg ->
-      Some
-        (match cfg.J.Guard.c_probe with
-        | Some _ -> cfg
-        | None ->
-            let p = t.fleet.Fleet.profile in
-            {
-              cfg with
-              J.Guard.c_probe =
-                Some
-                  (J.Guard.probe_config ~every:20
-                     ~deadline:t.params.probe_deadline
-                     ~port:i.Instance.i_port
-                     ~line:p.Profile.pr_health_probe
-                     ~ok:p.Profile.pr_health_ok ());
-            })
-
 let start_updates t ids =
   emit_ev t "update.begin"
     [
@@ -361,11 +338,22 @@ let start_updates t ids =
     List.filter_map
       (fun id ->
         let i = inst t id in
+        (* forward updates are guarded when [params.guard] is set;
+           rollbacks never are *)
+        let guard =
+          match t.direction with
+          | Rollback _ -> None
+          | Forward ->
+              Option.map
+                (Profile.guard_config t.fleet.Fleet.profile
+                   ~deadline:t.params.probe_deadline ~port:i.Instance.i_port)
+                t.params.guard
+        in
         match
           J.Jvolve.request_spec ~timeout_rounds:t.params.update_timeout
             ~use_osr:t.params.use_osr ~use_barriers:t.params.use_barriers
             ~admit_strict:t.params.admit_strict
-            ?guard:(guard_for t i) i.Instance.i_vm
+            ?guard i.Instance.i_vm
             (spec_for t id)
         with
         | h -> Some (id, h)

@@ -105,6 +105,20 @@ let source p ~version = Apps.Patching.source p.pr_versioned ~version
 let compile p ~version =
   Jv_lang.Compile.compile_program (source p ~version)
 
+(* Bind the profile's health probe, on the instance's own [port], to a
+   guard config that names no probe; a config with a probe is kept. *)
+let guard_config p ~deadline ~port (cfg : Jvolve_core.Guard.config) =
+  match cfg.Jvolve_core.Guard.c_probe with
+  | Some _ -> cfg
+  | None ->
+      {
+        cfg with
+        Jvolve_core.Guard.c_probe =
+          Some
+            (Jvolve_core.Guard.probe_config ~every:20 ~deadline ~port
+               ~line:p.pr_health_probe ~ok:p.pr_health_ok ());
+      }
+
 (* Version tag for renamed old classes, per-instance so a fleet never
    collides: "514i3" = from-version 5.1.4 on instance 3. *)
 let version_tag ~from_version ~instance_id =

@@ -125,25 +125,6 @@ let compile_cached t ~version =
       Hashtbl.replace t.compiled version p;
       p
 
-let guard_for params (profile : F.Profile.t) (inst : F.Instance.t) =
-  match params.g_guard with
-  | None -> None
-  | Some cfg ->
-      Some
-        (match cfg.J.Guard.c_probe with
-        | Some _ -> cfg
-        | None ->
-            {
-              cfg with
-              J.Guard.c_probe =
-                Some
-                  (J.Guard.probe_config ~every:20
-                     ~deadline:params.g_probe_deadline
-                     ~port:inst.F.Instance.i_port
-                     ~line:profile.F.Profile.pr_health_probe
-                     ~ok:profile.F.Profile.pr_health_ok ());
-            })
-
 (* Build the [Node] for instance [id], drawing its backoff jitter from
    the shared schedule stream.  Used by [create] for every instance and
    again by [rejoin] when the supervisor replaces a crashed VM — the
@@ -166,7 +147,11 @@ let node_for t ~id ~epoch =
       nc_update_timeout = t.params.g_update_timeout;
       nc_max_retries = t.params.g_max_retries;
       nc_backoff_base = t.params.g_backoff_base + jitter;
-      nc_guard = guard_for t.params profile inst;
+      nc_guard =
+        Option.map
+          (F.Profile.guard_config profile ~deadline:t.params.g_probe_deadline
+             ~port:inst.F.Instance.i_port)
+          t.params.g_guard;
     }
   in
   Node.create ~epoch ~id ~inst ~cfg

@@ -31,7 +31,7 @@ type result = {
   update_log : int array; (* flattened pairs: old-copy addr, new addr *)
 }
 
-let obj_size (vm : State.t) space addr =
+let[@inline] obj_size (vm : State.t) space addr =
   let cid = space.(addr + Heap.off_class) in
   let cls = Rt.class_by_id vm.State.reg cid in
   if cls.Rt.is_array then
@@ -82,12 +82,7 @@ let collect ?plan ?redirect (vm : State.t) : result =
     end
     else begin
       let cid = from.(addr + Heap.off_class) in
-      let cls = Rt.class_by_id vm.State.reg cid in
-      let size =
-        if cls.Rt.is_array then
-          Heap.array_header_words + from.(addr + Heap.off_array_len)
-        else cls.Rt.size_words
-      in
+      let size = obj_size vm from addr in
       match
         match plan with
         | None -> None

@@ -23,6 +23,11 @@ type result = {
           while transformers run *)
 }
 
+val obj_size : State.t -> int array -> int -> int
+(** [obj_size vm space addr]: the size in words of the object at [addr]
+    in [space] (header included), from its class id and, for arrays, its
+    length word.  The class id is trusted, not validated. *)
+
 val collect :
   ?plan:transform_plan -> ?redirect:(int, int) Hashtbl.t -> State.t -> result
 (** Roots: the JTOC, every thread frame's locals and live operand stack,

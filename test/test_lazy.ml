@@ -249,6 +249,136 @@ let residual_trap_rolls_back () =
   in
   Alcotest.(check bool) "same spec re-applies after rollback" true vm_ok
 
+(* --- objects the app allocates inside the window ------------------------- *)
+
+let n_fresh = 8
+
+(* [boxes_src] plus [n_fresh] boxes the app keeps re-allocating, one per
+   iteration, through [Maker] (whose compiled code the update
+   invalidates): inside an open window they are new-version instances,
+   in no update log. *)
+let fresh_src ~hot ~extra =
+  Printf.sprintf
+    {|
+class Box { int a; %s}
+class Keeper { static Box[] all; static Box[] fresh; }
+class Reader {
+  static int sum() {
+    int s = 0;
+    for (int i = 0; i < %d; i = i + 1) { s = s + Keeper.all[i].a; }
+    return s;
+  }
+  static int freshSum() {
+    int s = 0;
+    for (int i = 0; i < %d; i = i + 1) { s = s + Keeper.fresh[i].a; }
+    return s;
+  }
+}
+class Maker {
+  static void make(int k) {
+    Box f = new Box();
+    f.a = 1000 + k;
+    Keeper.fresh[k] = f;
+  }
+}
+class Main {
+  static void main() {
+    Keeper.all = new Box[%d];
+    for (int i = 0; i < %d; i = i + 1) {
+      Box b = new Box();
+      b.a = i;
+      Keeper.all[i] = b;
+    }
+    Keeper.fresh = new Box[%d];
+    for (int k = 0; k < %d; k = k + 1) { Maker.make(k); }
+    for (int j = 0; j < 100000; j = j + 1) {
+      Maker.make(j %% %d);
+      Sys.println("s=" + Reader.sum() + " f=" + Reader.freshSum());
+      Thread.yieldNow();
+    }
+  }
+}
+|}
+    (if extra then "int b; " else "")
+    hot n_fresh n_boxes n_boxes n_fresh n_fresh n_fresh
+
+(* The [a] field of every live Box, sorted. *)
+let box_values vm =
+  let heap = vm.VM.State.heap in
+  let reg = vm.VM.State.reg in
+  let box =
+    match VM.Rt.find_class reg "Box" with
+    | Some c -> c
+    | None -> Alcotest.fail "Box not loaded"
+  in
+  let off =
+    match VM.Rt.find_field_info box "a" with
+    | Some fi -> fi.VM.Rt.fi_offset
+    | None -> Alcotest.fail "Box has no field a"
+  in
+  let vals = ref [] in
+  let scan = ref 1 in
+  while !scan < heap.VM.Heap.free do
+    let addr = !scan in
+    if VM.Heap.class_id heap addr = box.VM.Rt.cid then
+      vals := VM.Value.to_int (VM.Heap.get heap ~addr ~off) :: !vals;
+    scan := addr + VM.Gc.obj_size vm heap.VM.Heap.space addr
+  done;
+  List.sort compare !vals
+
+(* A window rollback must restore app-allocated new-version objects too:
+   the inverse collection replaces each with an old-layout object and the
+   default inverse transformation copies [a] back from its snapshot. *)
+let rollback_restores_fresh_objects () =
+  let hot = 25 in
+  let compile extra =
+    Jv_lang.Compile.compile_program (fresh_src ~hot ~extra)
+  in
+  let vm = VM.Vm.create ~config:(lazy_config ~budget:1 ()) () in
+  VM.Vm.boot vm (compile false);
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  VM.Vm.run vm ~rounds:5;
+  let spec =
+    J.Spec.make ~version_tag:"lf" ~old_program:(compile false)
+      ~new_program:(compile true) ()
+  in
+  (match (J.Jvolve.update_now ~timeout_rounds:100 vm spec).J.Jvolve.h_outcome with
+  | J.Jvolve.Applied _ -> ()
+  | o ->
+      Alcotest.failf "lazy update did not apply: %s"
+        (J.Jvolve.outcome_to_string o));
+  (* enough iterations that every fresh slot holds a box allocated
+     inside the window, while the crawling sweeper leaves cold boxes *)
+  VM.Vm.run vm ~rounds:(2 * n_fresh);
+  let li = lazy_info vm in
+  Alcotest.(check bool) "cold boxes still pending" true
+    (li.VM.State.li_transformed < n_boxes);
+  let plan = Faults.create ~seed:11 () in
+  Faults.arm plan ~point:"transformer.throw" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  let budget = ref 3000 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  VM.Vm.set_faults vm None;
+  Alcotest.(check int) "rolled back, not drained" 1
+    (Obs.counter_value vm.VM.State.obs "core.lazy.rollbacks");
+  check_clean vm "after rollback";
+  Alcotest.(check (list int))
+    "every Box is back on the old layout with its value"
+    (List.init n_boxes Fun.id @ List.init n_fresh (fun k -> 1000 + k))
+    (box_values vm);
+  VM.Vm.run vm ~rounds:20;
+  let expected =
+    Printf.sprintf "s=%d f=%d" (hot_sum hot)
+      ((1000 * n_fresh) + (n_fresh * (n_fresh - 1) / 2))
+  in
+  String.split_on_char '\n' (String.trim (VM.Vm.output vm))
+  |> List.iter (fun l ->
+         if l <> "" && l <> expected then
+           Alcotest.failf "reader saw %S, expected %S" l expected)
+
 (* --- guard revert over a half-transformed ministore heap ---------------- *)
 
 let store = A.Experience.store_desc
@@ -346,6 +476,8 @@ let suite =
       sweeper_converges;
     Alcotest.test_case "residual transformer trap rolls the window back"
       `Quick residual_trap_rolls_back;
+    Alcotest.test_case "rollback restores objects allocated in the window"
+      `Quick rollback_restores_fresh_objects;
     Alcotest.test_case "guard revert over a half-transformed heap" `Quick
       guard_revert_half_transformed;
   ]

@@ -216,17 +216,62 @@ class Main {
 }
 |}
 
-(* Run a v1 -> v2 update whose Payload object transformer has [body];
-   return the typed abort plus the VM for post-mortem checks. *)
-let bad_transformer ~tag ~body =
-  let config =
-    {
-      Helpers.test_config with
-      VM.State.transformer_fuel = 20_000;
-      verify_heap = true;
-    }
+module Obs = Jv_obs.Obs
+
+let sandbox_config ~lazy_mode =
+  {
+    Helpers.test_config with
+    VM.State.transformer_fuel = 20_000;
+    verify_heap = true;
+    lazy_update = lazy_mode;
+    lazy_sweep_budget = 8;
+  }
+
+(* Run an open lazy window until it resolves, and require that it rolled
+   back cleanly after one failed transform: exactly one lazy.abort, one
+   rollback reported ok, no drain, no lazy residue in the heap.  Returns
+   the reason the lazy.abort event carried (rendered from the typed
+   cause). *)
+let lazy_window_rolls_back what vm =
+  let budget = ref 500 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  let obs = vm.VM.State.obs in
+  Alcotest.(check int) (what ^ ": window rolled back") 1
+    (Obs.counter_value obs "core.lazy.rollbacks");
+  Alcotest.(check int) (what ^ ": never drained") 0
+    (Obs.counter_value obs "core.lazy.drained");
+  let field name (ev : Obs.event) =
+    match List.assoc_opt name ev.Obs.ev_fields with
+    | Some (Obs.Str s) -> s
+    | _ -> ""
   in
-  let vm = boot_payload ~config sandbox_v1 in
+  let named n =
+    List.filter (fun (ev : Obs.event) -> ev.Obs.ev_name = n) (Obs.events obs)
+  in
+  let reason =
+    match named "lazy.abort" with
+    | [ ev ] -> field "reason" ev
+    | evs -> Alcotest.failf "%s: %d lazy.abort events" what (List.length evs)
+  in
+  (match named "lazy.rollback" with
+  | [ ev ] ->
+      Alcotest.(check string) (what ^ ": rollback ok") "true" (field "ok" ev)
+  | evs -> Alcotest.failf "%s: %d lazy.rollback events" what (List.length evs));
+  Alcotest.(check int)
+    (what ^ ": zero lazy residue") 0 (Test_lazy.residue_count vm);
+  reason
+
+(* Run a v1 -> v2 update whose Payload object transformer has [body],
+   eagerly or lazily.  Returns the VM, its live-object count before the
+   update, and how the failure surfaced: the eager update's typed abort,
+   or — a lazy commit succeeds, and the transformer first runs in the
+   open window — the reason on the window's lazy.abort event once the
+   window has rolled back. *)
+let bad_transformer ~lazy_mode ~tag ~body =
+  let vm = boot_payload ~config:(sandbox_config ~lazy_mode) sandbox_v1 in
   VM.Vm.run vm ~rounds:10;
   let spec =
     J.Spec.make
@@ -239,17 +284,15 @@ let bad_transformer ~tag ~body =
   let before = live_count vm in
   let h = J.Jvolve.update_now ~timeout_rounds:200 vm spec in
   match h.J.Jvolve.h_outcome with
-  | J.Jvolve.Aborted a -> (vm, before, a)
+  | J.Jvolve.Aborted a when not lazy_mode -> (vm, before, `Aborted a)
+  | _ when lazy_mode && J.Jvolve.succeeded h ->
+      (vm, before, `Lazy (lazy_window_rolls_back tag vm))
   | o ->
       Alcotest.failf "transformer %s should abort the update, got %s" tag
         (J.Jvolve.outcome_to_string o)
 
-(* Shared post-mortem: clean rollback, intact heap, VM still running. *)
-let check_contained what vm before (a : J.Updater.abort) =
-  Alcotest.(check string)
-    (what ^ ": aborted in transform") "transform"
-    (J.Updater.phase_to_string a.J.Updater.a_phase);
-  Alcotest.(check bool) (what ^ ": rolled back") true a.J.Updater.a_rolled_back;
+(* Shared post-mortem: intact heap, values preserved, VM still running. *)
+let check_post_mortem what vm before =
   Alcotest.(check bool)
     (what ^ ": heap verifies after rollback")
     true
@@ -270,44 +313,72 @@ let check_contained what vm before (a : J.Updater.abort) =
     (what ^ ": no thread traps") 0
     (List.length (VM.Vm.stats vm).VM.Vm.traps)
 
-let looping_transformer_aborts_at_fuel () =
-  let vm, before, a =
-    bad_transformer ~tag:"s1"
+(* An eager abort: a clean rollback, then the shared post-mortem. *)
+let check_contained what vm before (a : J.Updater.abort) =
+  Alcotest.(check string)
+    (what ^ ": aborted in transform") "transform"
+    (J.Updater.phase_to_string a.J.Updater.a_phase);
+  Alcotest.(check bool) (what ^ ": rolled back") true a.J.Updater.a_rolled_back;
+  check_post_mortem what vm before
+
+(* A lazy window's abort reason renders the cause the eager abort types:
+   it names the failure and the object it hit. *)
+let check_lazy_reason what reason expected =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: lazy.abort reason %S names the cause" what reason)
+    true
+    (List.for_all (Helpers.contains reason) ("Payload@" :: expected))
+
+let looping_transformer_aborts_at_fuel ~lazy_mode () =
+  let vm, before, failure =
+    bad_transformer ~lazy_mode ~tag:"s1"
       ~body:"    to.x = from.x;\n    while (true) { to.y = to.y + 1; }"
   in
-  Alcotest.(check bool)
-    "reason mentions fuel" true
-    (Helpers.contains a.J.Updater.a_reason "fuel");
-  (match a.J.Updater.a_cause with
-  | J.Updater.C_fuel_exhausted (site, steps) ->
-      Alcotest.(check string)
-        "site names the class" "Payload" site.J.Updater.ts_class;
+  match failure with
+  | `Lazy reason ->
+      check_lazy_reason "fuel" reason
+        [ "jvolveObject"; "exhausted its fuel budget" ];
+      check_post_mortem "fuel" vm before
+  | `Aborted a ->
       Alcotest.(check bool)
-        "site names an object" true (site.J.Updater.ts_object > 0);
-      Alcotest.(check bool) "steps reached the budget" true (steps >= 20_000)
-  | c ->
-      Alcotest.failf "expected C_fuel_exhausted, got %s"
-        (J.Updater.cause_to_string c));
-  check_contained "fuel" vm before a
+        "reason mentions fuel" true
+        (Helpers.contains a.J.Updater.a_reason "fuel");
+      (match a.J.Updater.a_cause with
+      | J.Updater.C_fuel_exhausted (site, steps) ->
+          Alcotest.(check string)
+            "site names the class" "Payload" site.J.Updater.ts_class;
+          Alcotest.(check bool)
+            "site names an object" true (site.J.Updater.ts_object > 0);
+          Alcotest.(check bool)
+            "steps reached the budget" true (steps >= 20_000)
+      | c ->
+          Alcotest.failf "expected C_fuel_exhausted, got %s"
+            (J.Updater.cause_to_string c));
+      check_contained "fuel" vm before a
 
-let stray_write_is_trapped () =
+let stray_write_is_trapped ~lazy_mode () =
   (* Keeper.hold is live but not part of the update: writing it from the
      transformer violates the sandbox *)
-  let vm, before, a =
-    bad_transformer ~tag:"s2"
+  let vm, before, failure =
+    bad_transformer ~lazy_mode ~tag:"s2"
       ~body:"    to.x = from.x;\n    Keeper.hold.h = 5;"
   in
-  Alcotest.(check bool)
-    "reason mentions the sandbox" true
-    (Helpers.contains a.J.Updater.a_reason "sandbox");
-  (match a.J.Updater.a_cause with
-  | J.Updater.C_sandbox_violation (site, _) ->
-      Alcotest.(check string)
-        "site names the class" "Payload" site.J.Updater.ts_class
-  | c ->
-      Alcotest.failf "expected C_sandbox_violation, got %s"
-        (J.Updater.cause_to_string c));
-  check_contained "stray write" vm before a;
+  (match failure with
+  | `Lazy reason ->
+      check_lazy_reason "stray write" reason [ "jvolveObject"; "sandbox:" ];
+      check_post_mortem "stray write" vm before
+  | `Aborted a ->
+      Alcotest.(check bool)
+        "reason mentions the sandbox" true
+        (Helpers.contains a.J.Updater.a_reason "sandbox");
+      (match a.J.Updater.a_cause with
+      | J.Updater.C_sandbox_violation (site, _) ->
+          Alcotest.(check string)
+            "site names the class" "Payload" site.J.Updater.ts_class
+      | c ->
+          Alcotest.failf "expected C_sandbox_violation, got %s"
+            (J.Updater.cause_to_string c));
+      check_contained "stray write" vm before a);
   (* the victim object was never written *)
   let hold = find_instance vm "Holder" in
   Alcotest.(check int) "victim untouched" 0
@@ -315,22 +386,28 @@ let stray_write_is_trapped () =
        (VM.Heap.get vm.VM.State.heap ~addr:hold
           ~off:(field_off vm "Holder" "h")))
 
-let throwing_transformer_aborts () =
-  let vm, before, a =
-    bad_transformer ~tag:"s3"
+let throwing_transformer_aborts ~lazy_mode () =
+  let vm, before, failure =
+    bad_transformer ~lazy_mode ~tag:"s3"
       ~body:"    Payload p = null;\n    to.x = p.x;"
   in
-  (match a.J.Updater.a_cause with
-  | J.Updater.C_transformer_trap (site, _) ->
-      Alcotest.(check string)
-        "site names the class" "Payload" site.J.Updater.ts_class;
-      Alcotest.(check bool)
-        "site carries the method" true
-        (Helpers.contains site.J.Updater.ts_method "jvolveObject")
-  | c ->
-      Alcotest.failf "expected C_transformer_trap, got %s"
-        (J.Updater.cause_to_string c));
-  check_contained "trap" vm before a
+  match failure with
+  | `Lazy reason ->
+      check_lazy_reason "trap" reason
+        [ "jvolveObject"; "trapped on Payload@" ];
+      check_post_mortem "trap" vm before
+  | `Aborted a ->
+      (match a.J.Updater.a_cause with
+      | J.Updater.C_transformer_trap (site, _) ->
+          Alcotest.(check string)
+            "site names the class" "Payload" site.J.Updater.ts_class;
+          Alcotest.(check bool)
+            "site carries the method" true
+            (Helpers.contains site.J.Updater.ts_method "jvolveObject")
+      | c ->
+          Alcotest.failf "expected C_transformer_trap, got %s"
+            (J.Updater.cause_to_string c));
+      check_contained "trap" vm before a
 
 (* --- fault points on the copy-plan path ----------------------------------
 
@@ -340,7 +417,6 @@ let throwing_transformer_aborts () =
    same typed cause, a clean rollback and a green heap. *)
 
 module Faults = Jv_faults.Faults
-module Obs = Jv_obs.Obs
 
 (* jvolveClass consults transformer.loop and transformer.throw before any
    object transformer runs: arm the first seed whose plan lets that
@@ -360,15 +436,6 @@ let armed_on_object point =
     else pick (seed + 1)
   in
   pick 1
-
-let plan_fault_config ~lazy_mode =
-  {
-    Helpers.test_config with
-    VM.State.transformer_fuel = 20_000;
-    verify_heap = true;
-    lazy_update = lazy_mode;
-    lazy_sweep_budget = 8;
-  }
 
 let default_payload_spec tag =
   J.Spec.make ~version_tag:tag ~old_program:(compile sandbox_v1)
@@ -394,7 +461,7 @@ let check_plan_cause point (c : J.Updater.cause) =
     (Helpers.contains site.J.Updater.ts_method "jvolveObject")
 
 let plan_fault_eager point () =
-  let vm = boot_payload ~config:(plan_fault_config ~lazy_mode:false) sandbox_v1 in
+  let vm = boot_payload ~config:(sandbox_config ~lazy_mode:false) sandbox_v1 in
   VM.Vm.run vm ~rounds:10;
   let before = live_count vm in
   VM.Vm.set_faults vm (Some (armed_on_object point));
@@ -411,7 +478,7 @@ let plan_fault_eager point () =
 (* The lazy window carries its abort's reason (rendered from the typed
    cause) on the lazy.abort event, then rolls the whole window back. *)
 let plan_fault_lazy point () =
-  let vm = boot_payload ~config:(plan_fault_config ~lazy_mode:true) sandbox_v1 in
+  let vm = boot_payload ~config:(sandbox_config ~lazy_mode:true) sandbox_v1 in
   VM.Vm.run vm ~rounds:10;
   let before = live_count vm in
   VM.Vm.set_faults vm (Some (armed_on_object point));
@@ -419,28 +486,8 @@ let plan_fault_lazy point () =
   if not (J.Jvolve.succeeded h) then
     Alcotest.failf "%s: lazy commit refused: %s" point
       (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
-  let budget = ref 500 in
-  while vm.VM.State.lazy_info <> None && !budget > 0 do
-    VM.Vm.run vm ~rounds:1;
-    decr budget
-  done;
+  let reason = lazy_window_rolls_back point vm in
   VM.Vm.set_faults vm None;
-  let obs = vm.VM.State.obs in
-  Alcotest.(check int) (point ^ ": window rolled back") 1
-    (Obs.counter_value obs "core.lazy.rollbacks");
-  Alcotest.(check int) (point ^ ": never drained") 0
-    (Obs.counter_value obs "core.lazy.drained");
-  let field name (ev : Obs.event) =
-    match List.assoc_opt name ev.Obs.ev_fields with
-    | Some (Obs.Str s) -> s
-    | _ -> ""
-  in
-  let named n = List.filter (fun (ev : Obs.event) -> ev.Obs.ev_name = n) (Obs.events obs) in
-  let reason =
-    match named "lazy.abort" with
-    | [ ev ] -> field "reason" ev
-    | evs -> Alcotest.failf "%s: %d lazy.abort events" point (List.length evs)
-  in
   let expected =
     match point with
     | "transformer.loop" -> "exhausted its fuel budget"
@@ -451,10 +498,6 @@ let plan_fault_lazy point () =
     (Printf.sprintf "%s: reason %S names the cause" point reason)
     true
     (Helpers.contains reason expected && Helpers.contains reason "Payload@");
-  (match named "lazy.rollback" with
-  | [ ev ] -> Alcotest.(check string) (point ^ ": rollback ok") "true" (field "ok" ev)
-  | evs -> Alcotest.failf "%s: %d lazy.rollback events" point (List.length evs));
-  Alcotest.(check int) (point ^ ": zero lazy residue") 0 (Test_lazy.residue_count vm);
   Alcotest.(check bool) (point ^ ": heap verifies") true
     (VM.Heapverify.run vm).VM.Heapverify.hv_ok;
   Alcotest.(check int) (point ^ ": live objects preserved") before (live_count vm);
@@ -641,11 +684,18 @@ let suite =
     Alcotest.test_case "admission: gutted transformer bundle is rejected"
       `Quick gutted_transformer_rejected;
     Alcotest.test_case "sandbox: looping transformer aborts at fuel" `Quick
-      looping_transformer_aborts_at_fuel;
+      (looping_transformer_aborts_at_fuel ~lazy_mode:false);
     Alcotest.test_case "sandbox: stray write is trapped" `Quick
-      stray_write_is_trapped;
+      (stray_write_is_trapped ~lazy_mode:false);
     Alcotest.test_case "sandbox: throwing transformer aborts" `Quick
-      throwing_transformer_aborts;
+      (throwing_transformer_aborts ~lazy_mode:false);
+    Alcotest.test_case "sandbox, lazy: looping transformer aborts at fuel"
+      `Quick
+      (looping_transformer_aborts_at_fuel ~lazy_mode:true);
+    Alcotest.test_case "sandbox, lazy: stray write is trapped" `Quick
+      (stray_write_is_trapped ~lazy_mode:true);
+    Alcotest.test_case "sandbox, lazy: throwing transformer aborts" `Quick
+      (throwing_transformer_aborts ~lazy_mode:true);
     Alcotest.test_case "verifier: corrupted ref field sinks the update"
       `Quick verifier_catches_corruption;
     Alcotest.test_case "fleet: unreliable rollback is quarantined" `Quick
