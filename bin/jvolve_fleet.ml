@@ -12,12 +12,6 @@ module F = Jv_fleet
 module G = Jv_gossip
 module J = Jvolve_core
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 let print_versions fleet =
   Printf.printf "fleet versions: %s\n"
     (String.concat " "
@@ -70,19 +64,7 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
             Printf.eprintf "unknown mode %S (rolling|canary)\n" m;
             exit 1
       in
-      let guard =
-        if no_guard then None
-        else
-          match J.Guard.budget_of_string guard_budget with
-          | Error e ->
-              Printf.eprintf "bad --guard-budget: %s\n" e;
-              exit 1
-          | Ok b ->
-              Some
-                (J.Guard.config
-                   ~budget:{ b with J.Guard.b_rounds = guard_rounds }
-                   ())
-      in
+      let guard = Cli.guard_config ~no_guard ~guard_rounds ~guard_budget in
       let params =
         {
           (F.Orchestrator.default_params mode) with
@@ -104,16 +86,7 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
           confree;
         }
       in
-      let plan =
-        match faults with
-        | None -> None
-        | Some p -> (
-            match Jv_faults.Faults.parse ~seed:fault_seed p with
-            | Ok plan -> Some plan
-            | Error e ->
-                Printf.eprintf "bad fault plan: %s\n" e;
-                exit 1)
-      in
+      let plan = Cli.fault_plan ~faults ~fault_seed in
       let policy =
         match policy with
         | "rr" -> F.Lb.Round_robin
@@ -146,6 +119,18 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
                    }
                  ~fleet ())
           else None
+        in
+        (* the rollout timeline (drain, safe-point update, probes,
+           readmission, gossip proposals) and a metrics snapshot merging
+           the fleet's sink with every instance VM's *)
+        let epilogue () =
+          Cli.epilogue ~trace ~metrics ~scopes:[ "fleet.rollout"; "gossip" ]
+            ~timeline:(Printf.printf "\nrollout timeline:\n%s")
+            ~sinks:
+              (List.map
+                 (fun (i : F.Instance.t) -> Jv_vm.Vm.obs i.F.Instance.i_vm)
+                 (F.Fleet.instances fleet))
+            (F.Fleet.obs fleet)
         in
         let print_supervisor () =
           match sup with
@@ -240,16 +225,7 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
             (F.Lb.rejected (F.Fleet.lb fleet))
             served;
           print_versions fleet;
-          if metrics then begin
-            let snap = Jv_obs.Obs.create () in
-            Jv_obs.Obs.merge_metrics ~into:snap (F.Fleet.obs fleet);
-            List.iter
-              (fun (i : F.Instance.t) ->
-                Jv_obs.Obs.merge_metrics ~into:snap
-                  (Jv_vm.Vm.obs i.F.Instance.i_vm))
-              (F.Fleet.instances fleet);
-            Printf.printf "\n%s" (Jv_obs.Export.prometheus snap)
-          end;
+          epilogue ();
           if r.G.Gossip.gr_converged && r.G.Gossip.gr_stuck = [] then 0
           else 2
         end
@@ -317,26 +293,7 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
                 (if ar.J.Jvolve.ar_blockers = "" then ""
                  else " (blockers: " ^ ar.J.Jvolve.ar_blockers ^ ")"))
             r.F.Orchestrator.r_reports;
-        let obs = F.Fleet.obs fleet in
-        (match trace with
-        | None -> ()
-        | Some "" ->
-            (* the per-rollout timeline: drain, safe-point update, health
-               probes, readmission — with tick durations *)
-            Printf.printf "\nrollout timeline:\n%s"
-              (Jv_obs.Export.timeline ~scopes:[ "fleet.rollout" ] obs)
-        | Some file -> write_file file (Jv_obs.Export.jsonl obs));
-        if metrics then begin
-          (* fleet-level metrics plus every instance VM's sink, merged *)
-          let snap = Jv_obs.Obs.create () in
-          Jv_obs.Obs.merge_metrics ~into:snap obs;
-          List.iter
-            (fun (i : F.Instance.t) ->
-              Jv_obs.Obs.merge_metrics ~into:snap
-                (Jv_vm.Vm.obs i.F.Instance.i_vm))
-            (F.Fleet.instances fleet);
-          Printf.printf "\n%s" (Jv_obs.Export.prometheus snap)
-        end;
+        epilogue ();
         if r.F.Orchestrator.r_ok then 0 else 2
         end
       with
@@ -412,74 +369,6 @@ let quarantine =
                finish the rollout on the survivors instead of halting \
                and rolling everything back.")
 
-let admit_strict =
-  Arg.(value & flag & info [ "admit-strict" ]
-         ~doc:"Promote admission-control warnings (e.g. a field silently \
-               changing type across the update) to rejections.")
-
-let verify_heap =
-  Arg.(value & flag & info [ "verify-heap" ]
-         ~doc:"On every instance, walk the whole heap after each update's \
-               transform phase (and after any rollback); a failed \
-               post-rollback verify quarantines the instance.")
-
-let transformer_fuel =
-  Arg.(value & opt int Jv_vm.State.default_config.Jv_vm.State.transformer_fuel
-         & info [ "transformer-fuel" ] ~docv:"N"
-             ~doc:"Machine-instruction budget per transformer invocation.")
-
-let confree =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "confree" ]
-              ~doc:
-                "Run the static con-freeness analysis on every instance: \
-                 changed methods proven backward-compatible stop blocking \
-                 the per-instance safe point (default)." );
-          ( false,
-            info [ "no-confree" ]
-              ~doc:
-                "Disable the con-freeness analysis on every instance: \
-                 every changed method blocks its safe point wherever it \
-                 is on stack." );
-        ])
-
-let guard_rounds =
-  Arg.(value & opt int J.Guard.default_budget.J.Guard.b_rounds
-         & info [ "guard-rounds" ] ~docv:"N"
-             ~doc:"Post-commit guard window per instance, in scheduler \
-                   rounds: each committed update is watched against its \
-                   pre-update baselines and auto-reverted in-VM if the \
-                   error budget trips; a trip also fences the rollout and \
-                   reverts every already-updated instance.")
-
-let guard_budget =
-  Arg.(value & opt string "" & info [ "guard-budget" ] ~docv:"SPEC"
-         ~doc:"Guard error budget, comma-separated key=value pairs: \
-               rounds, traps, errors, probes, latency (factor), samples. \
-               Unset keys keep their defaults.")
-
-let no_guard =
-  Arg.(value & flag & info [ "no-guard" ]
-         ~doc:"Commit per-instance updates immediately: no guard windows, \
-               no fleet-wide fenced revert.")
-
-let faults =
-  Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"PLAN"
-         ~doc:"Arm a deterministic fault plan on every instance VM and \
-               its network: comma-separated POINT=ACTION[@RATE][xCOUNT] \
-               rules, e.g. 'updater.transform=raise\\@0.2', \
-               'net.link=drop\\@0.05', 'updater.gc=kill x1'.  Actions: \
-               raise, kill, drop, delay:N.  A trailing * in POINT \
-               matches by prefix.")
-
-let fault_seed =
-  Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"N"
-         ~doc:"Seed for the fault plan's RNG (same seed, same schedule).")
-
 let concurrency =
   Arg.(value & opt int 8 & info [ "concurrency" ] ~docv:"N"
          ~doc:"Concurrent scripted client sessions against the balancer.")
@@ -541,23 +430,6 @@ let snapshot_every =
                    latest snapshot before catching up.  0 disables \
                    snapshots.")
 
-let trace =
-  Arg.(value & opt ~vopt:(Some "") (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Print the per-rollout timeline (drain, safe-point \
-                   update, health probes, readmission) after the rollout; \
-                   with $(docv), write the full JSON-lines event dump \
-                   there instead.")
-
-let metrics =
-  Arg.(value & flag & info [ "metrics" ]
-         ~doc:"Print a Prometheus-style snapshot merging the fleet's and \
-               every instance VM's metrics.")
-
-let verbose =
-  Arg.(value & flag & info [ "v"; "verbose" ]
-         ~doc:"Trace rollout phases and per-instance attempt reports.")
-
 let cmd =
   Cmd.v
     (Cmd.info "jvolve_fleet"
@@ -565,10 +437,11 @@ let cmd =
     Term.(
       const run $ app_arg $ from_v $ to_v $ size $ mode $ batch $ canaries
       $ observe $ drain_timeout $ timeout_rounds $ probes $ max_retries
-      $ backoff_base $ quarantine $ admit_strict $ verify_heap
-      $ transformer_fuel $ confree $ guard_rounds $ guard_budget $ no_guard
-      $ faults $ fault_seed $ concurrency $ policy $ gossip $ fanout $ quorum
-      $ supervise $ restart_backoff $ max_restarts $ snapshot_every $ trace
-      $ metrics $ verbose)
+      $ backoff_base $ quarantine $ Cli.admit_strict $ Cli.verify_heap
+      $ Cli.transformer_fuel $ Cli.confree $ Cli.guard_rounds
+      $ Cli.guard_budget $ Cli.no_guard $ Cli.faults $ Cli.fault_seed
+      $ concurrency $ policy $ gossip $ fanout $ quorum $ supervise
+      $ restart_backoff $ max_restarts $ snapshot_every $ Cli.trace
+      $ Cli.metrics $ Cli.verbose)
 
 let () = exit (Cmd.eval' cmd)

@@ -21,28 +21,13 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-(* --trace          -> human-readable update/GC/OSR timeline on stderr
-   --trace=FILE     -> full JSONL event dump to FILE *)
-let emit_trace obs = function
-  | None -> ()
-  | Some "" ->
-      prerr_string
-        (Jv_obs.Export.timeline
-           ~scopes:[ "core.update"; "vm.gc"; "vm.osr"; "vm.dsu" ]
-           obs)
-  | Some file -> write_file file (Jv_obs.Export.jsonl obs)
-
-(* Common tail: program output, trace/metrics export, stats, exit code. *)
+(* Common tail: program output, trace/metrics export (the timeline of
+   update, GC and OSR events goes to stderr), stats, exit code. *)
 let finish vm ~trace ~metrics ~verbose ~failed =
   print_string (VM.Vm.output vm);
-  emit_trace (VM.Vm.obs vm) trace;
-  if metrics then print_string (Jv_obs.Export.prometheus (VM.Vm.obs vm));
+  Cli.epilogue ~trace ~metrics
+    ~scopes:[ "core.update"; "vm.gc"; "vm.osr"; "vm.dsu" ]
+    ~timeline:prerr_string (VM.Vm.obs vm);
   let stats = VM.Vm.stats vm in
   if verbose then begin
     Printf.eprintf
@@ -171,29 +156,8 @@ let run app from_v to_v path main_class rounds update_path at tag
     transformer_fuel lazy_update lazy_sweep_budget confree guard_rounds
     guard_budget no_guard faults fault_seed trace metrics verbose =
   try
-    let plan =
-      match faults with
-      | None -> None
-      | Some p -> (
-          match Jv_faults.Faults.parse ~seed:fault_seed p with
-          | Ok plan -> Some plan
-          | Error e ->
-              Printf.eprintf "bad fault plan: %s\n" e;
-              exit 1)
-    in
-    let guard =
-      if no_guard then None
-      else
-        match J.Guard.budget_of_string guard_budget with
-        | Error e ->
-            Printf.eprintf "bad --guard-budget: %s\n" e;
-            exit 1
-        | Ok b ->
-            Some
-              (J.Guard.config
-                 ~budget:{ b with J.Guard.b_rounds = guard_rounds }
-                 ())
-    in
+    let plan = Cli.fault_plan ~faults ~fault_seed in
+    let guard = Cli.guard_config ~no_guard ~guard_rounds ~guard_budget in
     match app with
     | Some app_name ->
         run_app_ladder ~app_name ~from_v ~to_v
@@ -320,24 +284,6 @@ let timeout_rounds =
              ~doc:"Abort the update if no safe point is reached within $(docv) \
                    scheduler rounds (the paper's 15s abort timeout).")
 
-let admit_strict =
-  Arg.(value & flag & info [ "admit-strict" ]
-         ~doc:"Promote admission-control warnings (e.g. a field silently \
-               changing type across the update) to rejections.")
-
-let verify_heap =
-  Arg.(value & flag & info [ "verify-heap" ]
-         ~doc:"Walk the whole heap after the transform phase (and after \
-               any rollback) checking headers, reference-field types and \
-               statics; a failed verify aborts the update.")
-
-let transformer_fuel =
-  Arg.(value & opt int VM.State.default_config.VM.State.transformer_fuel
-         & info [ "transformer-fuel" ] ~docv:"N"
-             ~doc:"Machine-instruction budget per transformer invocation; \
-                   a transformer that exceeds it traps and the update \
-                   aborts.")
-
 let lazy_update =
   Arg.(value & flag & info [ "lazy" ]
          ~doc:"Commit updates lazily: the pause covers only metadata, \
@@ -352,84 +298,15 @@ let lazy_sweep_budget =
              ~doc:"With --lazy: heap objects the background sweeper visits \
                    per scheduler round.")
 
-let confree =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "confree" ]
-              ~doc:
-                "Run the static con-freeness (backward-compatibility) \
-                 analysis at admission time: changed methods whose old \
-                 bodies are proven safe to keep running across the commit \
-                 are subtracted from the restricted set, so always-on-stack \
-                 run() loops no longer block the safe point.  This is the \
-                 default." );
-          ( false,
-            info [ "no-confree" ]
-              ~doc:
-                "Disable the con-freeness analysis: every changed method \
-                 blocks the safe point wherever it is on stack (the \
-                 paper's baseline behaviour)." );
-        ])
-
-let guard_rounds =
-  Arg.(value & opt int J.Guard.default_budget.J.Guard.b_rounds
-         & info [ "guard-rounds" ] ~docv:"N"
-             ~doc:"Length of the post-commit guard window in scheduler \
-                   rounds: after a successful update the VM watches trap \
-                   rate, app errors, probe failures and p99 latency \
-                   against pre-update baselines, auto-reverting (inverse \
-                   update, replaying the retained update log) if a budget \
-                   trips.")
-
-let guard_budget =
-  Arg.(value & opt string "" & info [ "guard-budget" ] ~docv:"SPEC"
-         ~doc:"Guard error budget, comma-separated key=value pairs: \
-               rounds, traps, errors, probes, latency (factor), samples. \
-               E.g. 'traps=0,errors=2,latency=3'.  Unset keys keep their \
-               defaults.")
-
-let no_guard =
-  Arg.(value & flag & info [ "no-guard" ]
-         ~doc:"Commit updates immediately: no guard window, no retained \
-               update log, no automatic revert.")
-
-let faults =
-  Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"PLAN"
-         ~doc:"Arm a deterministic fault plan: comma-separated \
-               POINT=ACTION[@RATE][xCOUNT] rules, e.g. \
-               'updater.transform=raise', 'updater.*=raise\\@0.2', \
-               'net.link=delay:3\\@0.1x5'.  Actions: raise, kill, drop, \
-               delay:N.  A trailing * in POINT matches by prefix.")
-
-let fault_seed =
-  Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"N"
-         ~doc:"Seed for the fault plan's RNG (same seed, same schedule).")
-
-let trace =
-  Arg.(value & opt ~vopt:(Some "") (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Print the update/GC/OSR flight-recorder timeline on \
-                   stderr; with $(docv), write the full JSON-lines event \
-                   dump there instead.")
-
-let metrics =
-  Arg.(value & flag & info [ "metrics" ]
-         ~doc:"Print a Prometheus-style snapshot of the VM's metrics.")
-
-let verbose =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print VM statistics.")
-
 let cmd =
   Cmd.v
     (Cmd.info "jvolve_run" ~doc:"Run MiniJava programs with dynamic updates")
     Term.(
       const run $ app_arg $ from_v $ to_v $ path $ main_class $ rounds
       $ update_path $ at $ tag $ transformers_path $ timeout_rounds
-      $ admit_strict $ verify_heap $ transformer_fuel $ lazy_update
-      $ lazy_sweep_budget $ confree $ guard_rounds $ guard_budget $ no_guard
-      $ faults $ fault_seed $ trace $ metrics $ verbose)
+      $ Cli.admit_strict $ Cli.verify_heap $ Cli.transformer_fuel
+      $ lazy_update $ lazy_sweep_budget $ Cli.confree $ Cli.guard_rounds
+      $ Cli.guard_budget $ Cli.no_guard $ Cli.faults $ Cli.fault_seed
+      $ Cli.trace $ Cli.metrics $ Cli.verbose)
 
 let () = exit (Cmd.eval' cmd)

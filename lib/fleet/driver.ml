@@ -136,9 +136,3 @@ let step t ~tick =
 let detach t =
   List.iter (close_conn t) t.active;
   t.active <- []
-
-let in_flight t = List.length t.active
-
-let mean_latency_rounds t =
-  if t.completed_requests = 0 then 0.0
-  else float_of_int t.latency_rounds /. float_of_int t.completed_requests

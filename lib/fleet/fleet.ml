@@ -91,9 +91,6 @@ let run t ~rounds =
 
 (* --- fleet-wide invariant helpers (tests, results) -------------------- *)
 
-let versions t =
-  Array.to_list (Array.map (fun i -> i.Instance.i_version) t.instances)
-
 (* [Some v] iff every instance still in service runs version [v]. *)
 let uniform_version t =
   let vs =
@@ -109,9 +106,6 @@ let uniform_version t =
 
 let total_requests t =
   List.fold_left (fun n d -> n + d.Driver.completed_requests) 0 t.drivers
-
-let total_errors t =
-  List.fold_left (fun n d -> n + d.Driver.errors) 0 t.drivers
 
 let dropped_in_flight t =
   Lb.dropped t.lb

@@ -81,5 +81,8 @@ let reboot ?(config = default_config) ?version (profile : Profile.t) inst =
 
 let net inst = VM.Vm.net inst.i_vm
 
+(* a live VM the fleet counts as serving *)
+let serving inst = inst.i_status = In_service && VM.Vm.killed inst.i_vm = None
+
 let round inst =
   if inst.i_status <> Out_of_service then VM.Sched.round inst.i_vm

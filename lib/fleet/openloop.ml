@@ -115,10 +115,6 @@ let drain t ~tick ~round ~patience =
   in
   go tick0 0
 
-let detach t =
-  List.iter (close_conn t) t.active;
-  t.active <- []
-
 let in_flight t = List.length t.active
 let offered t = t.offered
 let served t = t.served

@@ -1,22 +1,22 @@
-(* The rollout orchestrator: drives a dynamic software update across a
-   fleet of VM instances, one wave at a time.
+(* The rollout orchestrator: central waves over the per-instance
+   [Lifecycle] arc.  This module decides only when each instance acts.
 
-   Per wave:  drain (stop routing new sessions, wait for in-flight to
-   reach zero) -> request the DSU on each VM and keep the fleet running
-   until every attempt resolves at a safe point -> health-probe the
-   updated instances -> readmit them.  A canary rollout makes the first
+   Per wave: drain (stop routing new sessions, wait for in-flight to
+   reach zero) -> request the DSU on every member and keep the fleet
+   running until every request resolves at a safe point -> health-probe
+   the updated members -> readmit them.  The wave is a barrier: its
+   members pass each stage together.  A canary rollout makes the first
    wave small, readmits it, then watches load-balancer health signals
    for an observation window before promoting the rest.
 
-   Any failure — an update abort (safe-point timeout, transformer
-   cycle), a failed health probe, a lost canary gate — halts the rollout
-   and rolls every already-updated instance back by applying the inverse
-   update spec ({!Jvolve_core.Spec.inverse}).  The orchestrator never
-   kills a connection: instances that abort keep serving the old
-   version, and the result records the whole story. *)
+   A clean abort retries in its own wave after a backoff.  An abort past
+   its retries, a failed health probe, a lost canary gate or a guard trip
+   halts the rollout and reverts every already-updated instance
+   ({!Jvolve_core.Spec.inverse}).  The orchestrator never kills a
+   connection: instances that abort keep serving the old version, and
+   the result records the whole story. *)
 
 module J = Jvolve_core
-module VM = Jv_vm
 
 type mode =
   | Rolling of { batch_size : int }
@@ -29,8 +29,6 @@ type params = {
   probe_deadline : int; (* rounds one health probe may take *)
   probes_required : int; (* consecutive healthy probes per instance *)
   gate : Health.gate_params; (* canary vs. stable comparison *)
-  use_osr : bool;
-  use_barriers : bool;
   admit_strict : bool; (* promote admission Warn verdicts to rejections *)
   max_rounds : int; (* hard stop for the whole rollout *)
   max_retries : int; (* re-attempts per instance after a clean abort *)
@@ -54,8 +52,6 @@ let default_params mode =
     probe_deadline = 80;
     probes_required = 2;
     gate = Health.default_gate;
-    use_osr = true;
-    use_barriers = true;
     admit_strict = false;
     max_rounds = 50_000;
     max_retries = 0;
@@ -92,9 +88,10 @@ type result = {
 }
 
 let pp_result ppf r =
+  let some fmt n = if n = 0 then "" else Printf.sprintf fmt n in
   Fmt.pf ppf
     "%s: %d updated, %d rolled back, %d aborted, %d unhealthy%s | %d \
-     rounds, mixed-version window %d rounds%s"
+     rounds, mixed-version window %d rounds%s%s%s%s%s"
     (if r.r_ok then "ROLLOUT OK" else "ROLLOUT HALTED")
     (List.length r.r_updated)
     (List.length r.r_rolled_back)
@@ -102,21 +99,12 @@ let pp_result ppf r =
     (List.length r.r_unhealthy)
     (match r.r_halted with None -> "" | Some why -> " (" ^ why ^ ")")
     r.r_rounds r.r_mixed_window
-    ((if r.r_retries = 0 then ""
-      else Printf.sprintf ", %d retries" r.r_retries)
-    ^ (if r.r_quarantined = [] then ""
-       else
-         Printf.sprintf ", %d quarantined" (List.length r.r_quarantined))
-    ^ (if r.r_recovered = [] then ""
-       else Printf.sprintf ", %d recovered" (List.length r.r_recovered))
-    ^ (if r.r_guard_tripped = [] then ""
-       else
-         Printf.sprintf ", %d guard trip(s)" (List.length r.r_guard_tripped))
-    ^
-    if r.r_rollback_failed = [] then ""
-    else
-      Printf.sprintf ", ROLLBACK FAILED on %d instance(s)"
-        (List.length r.r_rollback_failed))
+    (some ", %d retries" r.r_retries)
+    (some ", %d quarantined" (List.length r.r_quarantined))
+    (some ", %d recovered" (List.length r.r_recovered))
+    (some ", %d guard trip(s)" (List.length r.r_guard_tripped))
+    (some ", ROLLBACK FAILED on %d instance(s)"
+       (List.length r.r_rollback_failed))
 
 (* Fold supervisor recoveries back into a rollout result: instances the
    rollout quarantined but a supervisor later restarted and readmitted
@@ -139,11 +127,8 @@ type direction = Forward | Rollback of string (* the halt reason *)
 
 type stage =
   | Drain of { until : int }
-  | Update of { handles : (int * J.Jvolve.handle) list }
-  | Probe of {
-      mutable live : (int * Health.probe) list; (* one active probe per id *)
-      mutable needed : (int * int) list; (* id -> healthy probes still due *)
-    }
+  | Update of { ops : (int * Lifecycle.op) list }
+  | Probe of { mutable ladders : (int * Lifecycle.ladder) list }
   | Observe of { until : int; canaries : int list }
   | Backoff of { until : int } (* waiting out a retry's backoff delay *)
 
@@ -156,9 +141,10 @@ type wave = {
 type t = {
   fleet : Fleet.t;
   params : params;
+  lives : Lifecycle.t array; (* per instance id *)
   from_version : string;
   to_version : string;
-  fwd_specs : (int * J.Spec.t) list; (* per instance *)
+  fwd_specs : J.Spec.t array; (* per instance id *)
   mutable waves : wave list; (* not yet started *)
   mutable wave : wave option; (* in flight *)
   mutable stage : stage option;
@@ -170,7 +156,7 @@ type t = {
   mutable rollback_failed : (int * string) list;
   mutable quarantined : (int * string) list;
   attempts : (int, int) Hashtbl.t; (* id -> failed forward attempts *)
-  mutable guarding : (int * J.Jvolve.handle) list; (* open guard windows *)
+  mutable guarding : (int * Lifecycle.op) list; (* open guard windows *)
   mutable guard_trips : (int * string) list;
   mutable fence : string option; (* pending fleet-wide revert reason *)
   mutable retries : int;
@@ -201,41 +187,46 @@ let chunk k xs =
   in
   go [] [] 0 xs
 
+let wave ?observe ?(not_before = 0) ids =
+  { w_ids = ids; w_observe = observe; w_not_before = not_before }
+
 let make_waves mode ids =
-  let plain b = { w_ids = b; w_observe = None; w_not_before = 0 } in
   match mode with
-  | Rolling { batch_size } -> List.map plain (chunk (max 1 batch_size) ids)
+  | Rolling { batch_size } -> List.map wave (chunk (max 1 batch_size) ids)
   | Canary { canaries; observe_rounds; promote_batch } ->
       let k = max 1 (min canaries (List.length ids - 1)) in
       let cs = List.filteri (fun i _ -> i < k) ids in
       let rest = List.filteri (fun i _ -> i >= k) ids in
-      { w_ids = cs; w_observe = Some observe_rounds; w_not_before = 0 }
-      :: List.map plain (chunk (max 1 promote_batch) rest)
+      wave ~observe:observe_rounds cs
+      :: List.map wave (chunk (max 1 promote_batch) rest)
+
+let life_config p =
+  {
+    Lifecycle.drain_timeout = p.drain_timeout;
+    update_timeout = p.update_timeout;
+    probe_deadline = p.probe_deadline;
+    probes_required = p.probes_required;
+    max_retries = p.max_retries;
+    backoff_base = p.backoff_base;
+    admit_strict = p.admit_strict;
+    guard = p.guard;
+  }
 
 let create ?(mutate_spec = fun _id spec -> spec) ~params ~fleet ~to_version
     () =
-  let profile = fleet.Fleet.profile in
-  let insts = Fleet.instances fleet in
   let from_version =
     match Fleet.uniform_version fleet with
     | Some v -> v
     | None -> invalid_arg "Orchestrator.create: fleet not on one version"
   in
-  let new_program = Profile.compile profile ~version:to_version in
-  let fwd_specs =
-    List.map
-      (fun (i : Instance.t) ->
-        let spec =
-          Jv_apps.Common.spec
-            ~overrides:(profile.Profile.pr_overrides ~to_version)
-            ~version_tag:
-              (Profile.version_tag ~from_version ~instance_id:i.Instance.i_id)
-            ~old_program:i.Instance.i_program ~new_program ()
-        in
-        (i.Instance.i_id, mutate_spec i.Instance.i_id spec))
-      insts
+  let lives =
+    Array.init (Fleet.size fleet) (fun id ->
+        Lifecycle.create fleet (life_config params) ~id)
   in
-  let ids = List.map (fun (i : Instance.t) -> i.Instance.i_id) insts in
+  let fwd_specs =
+    Array.mapi (fun id l -> mutate_spec id (Lifecycle.spec l ~to_version)) lives
+  in
+  let ids = List.init (Fleet.size fleet) Fun.id in
   Jv_obs.Obs.emit (Fleet.obs fleet) ~scope:"fleet.rollout" "rollout.start"
     [
       ("from", Jv_obs.Obs.Str from_version);
@@ -253,6 +244,7 @@ let create ?(mutate_spec = fun _id spec -> spec) ~params ~fleet ~to_version
   {
     fleet;
     params;
+    lives;
     from_version;
     to_version;
     fwd_specs;
@@ -286,33 +278,25 @@ let create ?(mutate_spec = fun _id spec -> spec) ~params ~fleet ~to_version
 let now t = Fleet.ticks t.fleet
 let lb t = Fleet.lb t.fleet
 let inst t id = Fleet.instance t.fleet id
-let fwd_spec t id = List.assoc id t.fwd_specs
-
-let spec_for t id =
-  match t.direction with
-  | Forward -> fwd_spec t id
-  | Rollback _ -> J.Spec.inverse (fwd_spec t id)
+let life t id = t.lives.(id)
 
 let note_version_change t =
   if t.first_mixed = None then t.first_mixed <- Some (now t);
   t.last_change <- now t
 
-let set_status t ids status =
-  List.iter (fun id -> (inst t id).Instance.i_status <- status) ids
-
-let set_admit t ids admit =
-  List.iter (fun id -> Lb.set_admit (lb t) ~id admit) ids
+(* the first pending fence reason of a forward rollout wins *)
+let fence_once t why =
+  match (t.direction, t.fence) with
+  | Forward, None -> t.fence <- Some why
+  | _ -> ()
 
 (* Park an instance out of the fleet: its VM was killed, its rollback
-   failed (state not trusted), or its retries are spent under
-   [`Quarantine].  The rollout itself never readmits it — only a
-   [Supervisor] restart (fresh VM, snapshot restore, ladder catch-up,
-   health probes) brings it back, and [reconcile] then moves it from
+   failed, or its retries are spent under [`Quarantine].  Only a
+   [Supervisor] restart brings it back; [reconcile] then moves it from
    [r_quarantined] to [r_recovered]. *)
 let quarantine t id ~why =
   t.quarantined <- (id, why) :: t.quarantined;
-  (inst t id).Instance.i_status <- Instance.Out_of_service;
-  Lb.set_admit (lb t) ~id false;
+  Lifecycle.take_out (life t id);
   Jv_obs.Obs.incr (Fleet.obs t.fleet) "fleet.rollout.quarantined";
   emit_ev t "instance.quarantine"
     [ ("instance", Jv_obs.Obs.Int id); ("why", Jv_obs.Obs.Str why) ]
@@ -330,51 +314,26 @@ let start_updates t ids =
           | Rollback _ -> "rollback") );
     ];
   t.stage_started <- now t;
-  set_status t ids
-    (match t.direction with
-    | Forward -> Instance.Updating
-    | Rollback _ -> Instance.Rolling_back);
-  let handles =
-    List.filter_map
+  let ops =
+    List.map
       (fun id ->
-        let i = inst t id in
-        (* forward updates are guarded when [params.guard] is set;
-           rollbacks never are *)
-        let guard =
+        let spec = t.fwd_specs.(id) in
+        ( id,
           match t.direction with
-          | Rollback _ -> None
           | Forward ->
-              Option.map
-                (Profile.guard_config t.fleet.Fleet.profile
-                   ~deadline:t.params.probe_deadline ~port:i.Instance.i_port)
-                t.params.guard
-        in
-        match
-          J.Jvolve.request_spec ~timeout_rounds:t.params.update_timeout
-            ~use_osr:t.params.use_osr ~use_barriers:t.params.use_barriers
-            ~admit_strict:t.params.admit_strict
-            ?guard i.Instance.i_vm
-            (spec_for t id)
-        with
-        | h -> Some (id, h)
-        | exception J.Transformers.Prepare_error e ->
-            (* never reached the VM: treat like an immediate abort *)
-            (match t.direction with
-            | Forward -> t.aborted <- (id, "prepare: " ^ e) :: t.aborted
-            | Rollback _ ->
-                t.rollback_failed <-
-                  (id, "prepare: " ^ e) :: t.rollback_failed);
-            None)
+              Lifecycle.request (life t id) ~to_version:t.to_version spec
+          | Rollback _ ->
+              Lifecycle.request_inverse (life t id) ~to_version:t.from_version
+                spec ))
       ids
   in
-  t.stage <- Some (Update { handles })
+  t.stage <- Some (Update { ops })
 
 let enter_wave t (w : wave) =
   emit_ev t "wave.start" [ ("instances", ids_field w.w_ids) ];
   match t.direction with
   | Forward ->
-      set_admit t w.w_ids false;
-      set_status t w.w_ids Instance.Draining;
+      List.iter (fun id -> Lifecycle.drain (life t id)) w.w_ids;
       emit_ev t "drain.begin"
         [
           ("instances", ids_field w.w_ids);
@@ -410,14 +369,11 @@ let start_wave t (w : wave) =
         in
         { w with w_ids = keep }
   in
-  if w.w_ids = [] then begin
-    t.wave <- None;
-    t.stage <- None
-  end
-  else begin
-  t.wave <- Some w;
+  t.wave <- (if w.w_ids = [] then None else Some w);
+  t.stage <- None;
   t.wave_started <- now t;
-  if w.w_not_before > now t then begin
+  if w.w_ids = [] then ()
+  else if w.w_not_before > now t then begin
     (* a retry wave still inside its backoff window: the instance keeps
        serving the old version until the delay elapses *)
     emit_ev t "backoff.wait"
@@ -429,7 +385,6 @@ let start_wave t (w : wave) =
     t.stage <- Some (Backoff { until = w.w_not_before })
   end
   else enter_wave t w
-  end
 
 let start_probes t ids =
   emit_ev t "probe.begin"
@@ -442,18 +397,7 @@ let start_probes t ids =
     Some
       (Probe
          {
-           live =
-             List.map
-               (fun id ->
-                 let i = inst t id in
-                 ( id,
-                   Health.start ~net:(Instance.net i)
-                     ~port:i.Instance.i_port
-                     ~line:t.fleet.Fleet.profile.Profile.pr_health_probe
-                     ~ok:t.fleet.Fleet.profile.Profile.pr_health_ok
-                     ~now:(now t) ~deadline_rounds:t.params.probe_deadline ))
-               ids;
-           needed = List.map (fun id -> (id, t.params.probes_required)) ids;
+           ladders = List.map (fun id -> (id, Lifecycle.probe (life t id))) ids;
          })
 
 (* --- finishing --------------------------------------------------------- *)
@@ -476,6 +420,7 @@ let finish ?(force = false) t =
   in
   let rounds = now t - t.started_at in
   let obs = Fleet.obs t.fleet in
+  let ok = halted = None && t.rollback_failed = [] in
   Jv_obs.Obs.observe_int obs "fleet.rollout.rounds" rounds;
   Jv_obs.Obs.observe_int obs "fleet.rollout.mixed_window" mixed;
   (* exact last-rollout figures, for reports that must not round through
@@ -485,9 +430,7 @@ let finish ?(force = false) t =
     (float_of_int mixed);
   emit_ev t "rollout.done"
     [
-      ( "ok",
-        Jv_obs.Obs.Str
-          (string_of_bool (halted = None && t.rollback_failed = [])) );
+      ("ok", Jv_obs.Obs.Str (string_of_bool ok));
       ("rounds", Jv_obs.Obs.Int rounds);
       ("mixed_window", Jv_obs.Obs.Int mixed);
       ("updated", Jv_obs.Obs.Int (List.length t.updated));
@@ -498,7 +441,7 @@ let finish ?(force = false) t =
   t.result <-
     Some
       {
-        r_ok = (halted = None && t.rollback_failed = []);
+        r_ok = ok;
         r_halted = halted;
         r_updated = List.sort compare t.updated;
         r_rolled_back = List.sort compare t.rolled_back;
@@ -522,15 +465,13 @@ let finish ?(force = false) t =
    forward-dropped field values are restored); the rest get the plain
    inverse spec through the normal update pipeline. *)
 let begin_rollback t ~why =
-  let in_vm =
-    List.filter (fun (_, h) -> J.Jvolve.guard_active h) t.guarding
-  in
+  let in_vm = List.filter (fun (_, op) -> Lifecycle.watching op) t.guarding in
   List.iter
-    (fun (id, h) ->
+    (fun (id, op) ->
       emit_ev t "guard.fence"
         [ ("instance", Jv_obs.Obs.Int id); ("why", Jv_obs.Obs.Str why) ];
-      J.Jvolve.force_trip (inst t id).Instance.i_vm h
-        ~reason:("rollout fenced: " ^ why))
+      ignore
+        (Lifecycle.revert (life t id) op ~reason:("rollout fenced: " ^ why)))
     in_vm;
   let in_vm_ids = List.map fst in_vm in
   emit_ev t "rollback.begin"
@@ -546,29 +487,17 @@ let begin_rollback t ~why =
   | Some w ->
       List.iter
         (fun id ->
-          let i = inst t id in
-          if i.Instance.i_status = Instance.Draining then begin
-            i.Instance.i_status <- Instance.In_service;
-            Lb.set_admit (lb t) ~id true
-          end)
+          if (inst t id).Instance.i_status = Instance.Draining then
+            Lifecycle.serve (life t id))
         w.w_ids
   | None -> ());
   t.direction <- Rollback why;
   t.wave <- None;
   t.stage <- None;
   t.waves <-
-    (match
-       List.filter (fun id -> not (List.mem id in_vm_ids)) t.updated
-     with
+    (match List.filter (fun id -> not (List.mem id in_vm_ids)) t.updated with
     | [] -> []
-    | ids ->
-        [
-          {
-            w_ids = List.sort compare ids;
-            w_observe = None;
-            w_not_before = 0;
-          };
-        ])
+    | ids -> [ wave (List.sort compare ids) ])
 
 (* A supervisor may recover a quarantined instance mid-rollout, after
    its wave has already passed: In_service again, but still on the old
@@ -578,21 +507,17 @@ let begin_rollback t ~why =
    supervisor's own ladder catch-up, which by then targets the updated
    plurality.) *)
 let stragglers t =
-  match t.direction with
-  | Rollback _ -> []
-  | Forward ->
-      if t.fence <> None then []
-      else
-        List.filter_map
-          (fun (i : Instance.t) ->
-            if
-              i.Instance.i_status = Instance.In_service
-              && i.Instance.i_version <> t.to_version
-              && (not (List.mem i.Instance.i_id t.updated))
-              && VM.Vm.killed i.Instance.i_vm = None
-            then Some i.Instance.i_id
-            else None)
-          (Fleet.instances t.fleet)
+  if t.direction <> Forward || t.fence <> None then []
+  else
+    List.filter_map
+      (fun (i : Instance.t) ->
+        if
+          Instance.serving i
+          && i.Instance.i_version <> t.to_version
+          && not (List.mem i.Instance.i_id t.updated)
+        then Some i.Instance.i_id
+        else None)
+      (Fleet.instances t.fleet)
 
 let next_wave t =
   t.wave <- None;
@@ -601,226 +526,145 @@ let next_wave t =
   | [] -> (
       match stragglers t with
       | [] -> finish t
-      | ids ->
-          start_wave t
-            { w_ids = List.sort compare ids; w_observe = None; w_not_before = 0 })
+      | ids -> start_wave t (wave (List.sort compare ids)))
   | w :: rest ->
       t.waves <- rest;
       start_wave t w
 
 (* --- per-round step ---------------------------------------------------- *)
 
+(* A guard trip: the instance already reverted itself in-VM (it is back
+   on the known-good version and serving) and the rollout must fence. *)
+let tripped t id why =
+  Jv_obs.Obs.incr (Fleet.obs t.fleet) "fleet.rollout.guard_trips";
+  t.guard_trips <- (id, why) :: t.guard_trips;
+  t.updated <- List.filter (( <> ) id) t.updated;
+  t.rolled_back <- id :: t.rolled_back;
+  note_version_change t;
+  fence_once t (Printf.sprintf "guard tripped on instance %d: %s" id why)
+
 (* Scan the open guard windows once per round.  A clean close just drops
-   off the watch list; a trip means the instance already reverted itself
-   in-VM (it is back on the known-good version and keeps serving) and the
-   rollout must be fenced; a trip whose revert failed leaves the instance
-   stuck on the new version — quarantined, like a failed rollback. *)
+   off the watch list; a trip fences the rollout; a VM killed with its
+   window open lost the suspect version's witness, so it fences too (a
+   supervisor restart then catches it up to the *reverted* epoch); a
+   trip whose revert failed leaves the instance stuck on the new
+   version — quarantined, like a failed rollback. *)
 let guard_watch t =
-  if t.guarding <> [] then begin
-    let still = ref [] in
-    List.iter
-      (fun (id, (h : J.Jvolve.handle)) ->
-        if J.Jvolve.guard_active h then begin
-          if VM.Vm.killed (inst t id).Instance.i_vm <> None then begin
-            (* the VM died with its window open: nothing in-VM can close
-               or revert it now.  Force-close the watch, quarantine the
-               corpse, and fence the rollout — the suspect version lost
-               its witness, so the survivors revert, and a supervisor
-               restart catches the instance up to the *reverted* epoch *)
-            let why = "vm killed during guard window" in
+  t.guarding <-
+    List.filter
+      (fun (id, op) ->
+        match Lifecycle.step (life t id) op with
+        | None -> true
+        | Some Lifecycle.Guard_closed ->
+            emit_ev t "guard.closed" [ ("instance", Jv_obs.Obs.Int id) ];
+            false
+        | Some (Lifecycle.Tripped v) ->
+            let why = J.Guard.verdict_to_string v in
+            emit_ev t "guard.reverted"
+              [
+                ("instance", Jv_obs.Obs.Int id);
+                ("why", Jv_obs.Obs.Str why);
+                ("revert_ms", Jv_obs.Obs.Float v.J.Guard.v_revert_ms);
+              ];
+            tripped t id why;
+            false
+        | Some (Lifecycle.Lost why) ->
+            let killed = Lifecycle.killed (life t id) in
             t.guard_trips <- (id, why) :: t.guard_trips;
             t.updated <- List.filter (( <> ) id) t.updated;
-            quarantine t id ~why;
-            match (t.direction, t.fence) with
-            | Forward, None ->
-                t.fence <-
-                  Some
-                    (Printf.sprintf "instance %d killed during guard window"
-                       id)
-            | _ -> ()
-          end
-          else still := (id, h) :: !still
-        end
-        else
-          let i = inst t id in
-          match h.J.Jvolve.h_outcome with
-          | J.Jvolve.Applied _ ->
-              emit_ev t "guard.closed" [ ("instance", Jv_obs.Obs.Int id) ]
-          | J.Jvolve.Reverted v ->
-              let why = J.Guard.verdict_to_string v in
-              Jv_obs.Obs.incr (Fleet.obs t.fleet)
-                "fleet.rollout.guard_trips";
-              emit_ev t "guard.reverted"
-                [
-                  ("instance", Jv_obs.Obs.Int id);
-                  ("why", Jv_obs.Obs.Str why);
-                  ( "revert_ms",
-                    Jv_obs.Obs.Float v.J.Guard.v_revert_ms );
-                ];
-              t.guard_trips <- (id, why) :: t.guard_trips;
-              i.Instance.i_version <- t.from_version;
-              i.Instance.i_program <- (fwd_spec t id).J.Spec.old_program;
-              t.updated <- List.filter (( <> ) id) t.updated;
-              t.rolled_back <- id :: t.rolled_back;
-              note_version_change t;
-              (* back on the known-good version: keep it serving *)
-              i.Instance.i_status <- Instance.In_service;
-              Lb.set_admit (lb t) ~id true;
-              (match (t.direction, t.fence) with
-              | Forward, None ->
-                  t.fence <-
-                    Some
-                      (Printf.sprintf "guard tripped on instance %d: %s" id
-                         why)
-              | _ -> ())
-          | J.Jvolve.Aborted a ->
-              (* tripped, and the revert itself rolled forward to an
-                 abort: the VM stays on the new version — not trusted *)
-              let why =
-                "guard revert failed: " ^ J.Updater.abort_to_string a
-              in
-              t.guard_trips <- (id, why) :: t.guard_trips;
-              t.updated <- List.filter (( <> ) id) t.updated;
+            if not killed then
               t.rollback_failed <- (id, why) :: t.rollback_failed;
-              quarantine t id ~why;
-              (match (t.direction, t.fence) with
-              | Forward, None ->
-                  t.fence <-
-                    Some
-                      (Printf.sprintf
-                         "guard tripped on instance %d (revert failed)" id)
-              | _ -> ())
-          | J.Jvolve.Pending -> ())
-      t.guarding;
-    t.guarding <- List.rev !still
-  end
+            quarantine t id ~why;
+            fence_once t
+              (if killed then
+                 Printf.sprintf "instance %d killed during guard window" id
+               else
+                 Printf.sprintf "guard tripped on instance %d (revert failed)"
+                   id);
+            false
+        | Some _ -> false)
+      t.guarding
 
-let update_resolved t (w : wave) handles =
+(* A clean forward abort: retry in its own wave after a backoff, or —
+   retries spent — quarantine the instance or halt the rollout.  The
+   instance already serves the old version again. *)
+let clean_abort t id e ~failures =
+  t.aborted <- (id, e) :: t.aborted;
+  let n = Option.value ~default:0 (Hashtbl.find_opt t.attempts id) + 1 in
+  Hashtbl.replace t.attempts id n;
+  if n <= t.params.max_retries then begin
+    t.retries <- t.retries + 1;
+    Jv_obs.Obs.incr (Fleet.obs t.fleet) "fleet.rollout.retries";
+    let delay = Lifecycle.backoff ~base:t.params.backoff_base ~attempt:n in
+    emit_ev t "update.retry"
+      [
+        ("instance", Jv_obs.Obs.Int id);
+        ("attempt", Jv_obs.Obs.Int n);
+        ("backoff", Jv_obs.Obs.Int delay);
+        ("reason", Jv_obs.Obs.Str e);
+      ];
+    t.waves <- wave ~not_before:(now t + delay) [ id ] :: t.waves
+  end
+  else
+    match t.params.on_exhausted with
+    | `Quarantine -> quarantine t id ~why:("retries exhausted: " ^ e)
+    | `Halt -> failures := id :: !failures
+
+let update_resolved t (w : wave) ops =
   let waited = now t - t.stage_started in
   Jv_obs.Obs.observe_int (Fleet.obs t.fleet) "fleet.rollout.update_rounds"
     waited;
   let failures = ref [] in
   List.iter
-    (fun (id, (h : J.Jvolve.handle)) ->
-      let i = inst t id in
-      let rep = J.Jvolve.report i.Instance.i_vm h in
-      t.reports <- (id, rep) :: t.reports;
-      emit_ev t "update.done"
-        [
-          ("instance", Jv_obs.Obs.Int id);
-          ( "outcome",
-            Jv_obs.Obs.Str
-              (match h.J.Jvolve.h_outcome with
-              | J.Jvolve.Applied _ -> "applied"
-              | J.Jvolve.Reverted _ -> "reverted"
-              | J.Jvolve.Aborted _ -> "aborted"
-              | J.Jvolve.Pending -> "pending") );
-          ("ticks", Jv_obs.Obs.Int waited);
-          ("sync_ms", Jv_obs.Obs.Float rep.J.Jvolve.ar_sync_ms);
-          ( "waited_rounds",
-            Jv_obs.Obs.Int rep.J.Jvolve.ar_waited_rounds );
-        ];
-      match (h.J.Jvolve.h_outcome, t.direction) with
-      | J.Jvolve.Applied _, Forward ->
-          i.Instance.i_version <- t.to_version;
-          i.Instance.i_program <- (fwd_spec t id).J.Spec.new_program;
+    (fun (id, op) ->
+      let l = life t id in
+      Option.iter
+        (fun (h : J.Jvolve.handle) ->
+          let rep = J.Jvolve.report (Lifecycle.instance l).Instance.i_vm h in
+          t.reports <- (id, rep) :: t.reports;
+          emit_ev t "update.done"
+            [
+              ("instance", Jv_obs.Obs.Int id);
+              ( "outcome",
+                Jv_obs.Obs.Str
+                  (match h.J.Jvolve.h_outcome with
+                  | J.Jvolve.Applied _ -> "applied"
+                  | J.Jvolve.Reverted _ -> "reverted"
+                  | J.Jvolve.Aborted _ -> "aborted"
+                  | J.Jvolve.Pending -> "pending") );
+              ("ticks", Jv_obs.Obs.Int waited);
+              ("sync_ms", Jv_obs.Obs.Float rep.J.Jvolve.ar_sync_ms);
+              ( "waited_rounds",
+                Jv_obs.Obs.Int rep.J.Jvolve.ar_waited_rounds );
+            ])
+        (Lifecycle.handle op);
+      match (Lifecycle.step l op, t.direction) with
+      | Some Lifecycle.Applied, Forward ->
           t.updated <- id :: t.updated;
           note_version_change t;
           (* guarded commit: keep watching the window *)
-          if J.Jvolve.guard_active h then
-            t.guarding <- (id, h) :: t.guarding
-      | J.Jvolve.Applied _, Rollback _ ->
-          i.Instance.i_version <- t.from_version;
-          i.Instance.i_program <- (fwd_spec t id).J.Spec.old_program;
+          if Lifecycle.watching op then t.guarding <- (id, op) :: t.guarding
+      | Some Lifecycle.Applied, Rollback _ ->
           t.updated <- List.filter (( <> ) id) t.updated;
           t.rolled_back <- id :: t.rolled_back;
           note_version_change t
-      | J.Jvolve.Reverted v, Forward ->
+      | Some (Lifecycle.Tripped v), Forward ->
           (* the window tripped before this resolution scan even saw the
              apply: the instance visited the new version and is already
              back on the old one *)
-          let why = J.Guard.verdict_to_string v in
-          Jv_obs.Obs.incr (Fleet.obs t.fleet) "fleet.rollout.guard_trips";
-          t.guard_trips <- (id, why) :: t.guard_trips;
-          t.rolled_back <- id :: t.rolled_back;
-          note_version_change t;
-          i.Instance.i_status <- Instance.In_service;
-          Lb.set_admit (lb t) ~id true;
-          (match t.fence with
-          | None ->
-              t.fence <-
-                Some
-                  (Printf.sprintf "guard tripped on instance %d: %s" id why)
-          | Some _ -> ())
-      | J.Jvolve.Reverted v, Rollback _ ->
-          (* cannot happen: rollbacks are never guarded *)
-          let e = "guard reverted the rollback: " ^ J.Guard.verdict_to_string v in
+          tripped t id (J.Guard.verdict_to_string v)
+      | Some (Lifecycle.Clean_abort e), Forward -> clean_abort t id e ~failures
+      | Some (Lifecycle.Lost e), Forward ->
+          (* a killed VM, or an abort whose rollback did not restore the
+             old version, cannot be trusted to serve or retry *)
+          t.aborted <- (id, e) :: t.aborted;
+          quarantine t id ~why:e
+      | Some (Lifecycle.Clean_abort e | Lifecycle.Lost e), Rollback _ ->
+          (* stuck on the new version: keep it out of service *)
           t.rollback_failed <- (id, e) :: t.rollback_failed;
           quarantine t id ~why:e
-      | (J.Jvolve.Aborted _ | J.Jvolve.Pending), _ -> (
-          let e =
-            match h.J.Jvolve.h_outcome with
-            | J.Jvolve.Aborted a -> J.Updater.abort_to_string a
-            | _ -> "still pending"
-          in
-          match t.direction with
-          | Forward ->
-              t.aborted <- (id, e) :: t.aborted;
-              (* a killed VM, or an abort whose rollback did not restore
-                 the old version, cannot be trusted to serve or retry *)
-              let unreliable =
-                VM.Vm.killed i.Instance.i_vm <> None
-                || (match h.J.Jvolve.h_outcome with
-                   | J.Jvolve.Aborted a -> not a.J.Updater.a_rolled_back
-                   | _ -> false)
-              in
-              if unreliable then quarantine t id ~why:e
-              else begin
-                let n =
-                  (Option.value ~default:0 (Hashtbl.find_opt t.attempts id))
-                  + 1
-                in
-                Hashtbl.replace t.attempts id n;
-                if n <= t.params.max_retries then begin
-                  (* rolled back cleanly: serve the old version while the
-                     backoff elapses, then try again in its own wave *)
-                  i.Instance.i_status <- Instance.In_service;
-                  Lb.set_admit (lb t) ~id true;
-                  t.retries <- t.retries + 1;
-                  Jv_obs.Obs.incr (Fleet.obs t.fleet)
-                    "fleet.rollout.retries";
-                  let delay = t.params.backoff_base * (1 lsl (n - 1)) in
-                  emit_ev t "update.retry"
-                    [
-                      ("instance", Jv_obs.Obs.Int id);
-                      ("attempt", Jv_obs.Obs.Int n);
-                      ("backoff", Jv_obs.Obs.Int delay);
-                      ("reason", Jv_obs.Obs.Str e);
-                    ];
-                  t.waves <-
-                    {
-                      w_ids = [ id ];
-                      w_observe = None;
-                      w_not_before = now t + delay;
-                    }
-                    :: t.waves
-                end
-                else
-                  match t.params.on_exhausted with
-                  | `Quarantine ->
-                      quarantine t id ~why:("retries exhausted: " ^ e)
-                  | `Halt ->
-                      failures := id :: !failures;
-                      (* the instance never left the old version:
-                         readmit it *)
-                      i.Instance.i_status <- Instance.In_service;
-                      Lb.set_admit (lb t) ~id true
-              end
-          | Rollback _ ->
-              (* stuck on the new version: keep it out of service *)
-              t.rollback_failed <- (id, e) :: t.rollback_failed;
-              quarantine t id ~why:e))
-    handles;
+      | _ -> () (* rollbacks are never guarded, so never trip *))
+    ops;
   match t.direction with
   | Forward when !failures <> [] ->
       begin_rollback t
@@ -843,58 +687,42 @@ let update_resolved t (w : wave) handles =
       in
       if ids = [] then next_wave t else start_probes t ids
 
-let probe_step t (w : wave) ~live ~needed set_live set_needed =
-  (* A VM that died while being probed is a crash, not evidence against
-     the new version: an unhealthy *response* indicts the code, a dead
-     process indicts the process.  Quarantine the corpse for the
-     supervisor instead of halting the whole rollout — and drop it from
-     [updated] so a later fence never tries to revert a dead VM. *)
-  let dead, live =
-    List.partition
-      (fun (id, _) -> VM.Vm.killed (inst t id).Instance.i_vm <> None)
-      live
+(* One round of the wave's probe ladders.  A VM killed while probed is
+   quarantined for the supervisor instead of halting the rollout — and
+   dropped from [updated], so a later fence never reverts a corpse. *)
+let probe_step t (w : wave) ladders =
+  let failed = ref [] in
+  let live =
+    List.filter
+      (fun (id, l) ->
+        match Lifecycle.probe_step (life t id) l with
+        | None -> true
+        | Some (Lifecycle.Healthy latency) ->
+            emit_ev t "probe.healthy"
+              [
+                ("instance", Jv_obs.Obs.Int id);
+                ("latency", Jv_obs.Obs.Int latency);
+              ];
+            not (Lifecycle.passed l)
+        | Some (Lifecycle.Unhealthy why) ->
+            emit_ev t "probe.unhealthy"
+              [
+                ("instance", Jv_obs.Obs.Int id); ("why", Jv_obs.Obs.Str why);
+              ];
+            failed := (id, why) :: !failed;
+            false
+        | Some (Lifecycle.Lost why) ->
+            t.updated <- List.filter (( <> ) id) t.updated;
+            quarantine t id ~why;
+            false
+        | Some _ -> false)
+      ladders
   in
-  List.iter
-    (fun (id, _) ->
-      t.updated <- List.filter (fun u -> u <> id) t.updated;
-      quarantine t id ~why:"vm killed during health probe")
-    dead;
-  (* advance every live probe; collect verdicts *)
-  List.iter (fun (_, p) -> Health.step p ~now:(now t)) live;
-  let still_live = ref [] and failed = ref [] in
-  List.iter
-    (fun (id, p) ->
-      match Health.outcome p with
-      | Health.Pending -> still_live := (id, p) :: !still_live
-      | Health.Unhealthy why ->
-          emit_ev t "probe.unhealthy"
-            [
-              ("instance", Jv_obs.Obs.Int id); ("why", Jv_obs.Obs.Str why);
-            ];
-          failed := (id, why) :: !failed
-      | Health.Healthy latency -> (
-          emit_ev t "probe.healthy"
-            [
-              ("instance", Jv_obs.Obs.Int id);
-              ("latency", Jv_obs.Obs.Int latency);
-            ];
-          match List.assoc_opt id needed with
-          | Some n when n > 1 ->
-              set_needed (id, n - 1);
-              let i = inst t id in
-              still_live :=
-                ( id,
-                  Health.start ~net:(Instance.net i) ~port:i.Instance.i_port
-                    ~line:t.fleet.Fleet.profile.Profile.pr_health_probe
-                    ~ok:t.fleet.Fleet.profile.Profile.pr_health_ok
-                    ~now:(now t) ~deadline_rounds:t.params.probe_deadline )
-                :: !still_live
-          | _ -> set_needed (id, 0)))
-    live;
-  set_live !still_live;
-  match !failed with
+  (match !failed with
   | (id, why) :: _ -> (
-      let why = Printf.sprintf "health check failed on instance %d: %s" id why in
+      let why =
+        Printf.sprintf "health check failed on instance %d: %s" id why
+      in
       match t.direction with
       | Forward ->
           t.unhealthy <- (id, why) :: t.unhealthy;
@@ -907,9 +735,9 @@ let probe_step t (w : wave) ~live ~needed set_live set_needed =
               t.rollback_failed <- (id, why) :: t.rollback_failed;
               quarantine t id ~why)
             !failed;
-          if !still_live = [] then next_wave t)
+          if live = [] then next_wave t)
   | [] ->
-      if !still_live = [] then begin
+      if live = [] then begin
         (* every instance of the wave is healthy: readmit *)
         Jv_obs.Obs.observe_int (Fleet.obs t.fleet)
           "fleet.rollout.probe_rounds"
@@ -922,8 +750,7 @@ let probe_step t (w : wave) ~live ~needed set_live set_needed =
               (inst t id).Instance.i_status <> Instance.Out_of_service)
             w.w_ids
         in
-        set_status t back Instance.In_service;
-        set_admit t back true;
+        List.iter (fun id -> Lifecycle.serve (life t id)) back;
         emit_ev t "readmit"
           [
             ("instances", ids_field back);
@@ -942,14 +769,15 @@ let probe_step t (w : wave) ~live ~needed set_live set_needed =
             t.stage <-
               Some (Observe { until = now t + rounds; canaries = w.w_ids })
         | _ -> next_wave t
-      end
+      end);
+  live
 
 let observe_done t ~canaries =
-  let all_ids =
-    List.map (fun (i : Instance.t) -> i.Instance.i_id)
-      (Fleet.instances t.fleet)
+  let stable =
+    List.filter
+      (fun id -> not (List.mem id canaries))
+      (List.init (Fleet.size t.fleet) Fun.id)
   in
-  let stable = List.filter (fun id -> not (List.mem id canaries)) all_ids in
   let cw = Lb.window (lb t) ~ids:canaries in
   let sw = Lb.window (lb t) ~ids:stable in
   let verdict = Health.judge t.params.gate ~canary:cw ~stable:sw in
@@ -988,32 +816,26 @@ let consume_fence t =
 
 let step t =
   guard_watch t;
-  match (t.result, t.wave, t.stage) with
-  | Some _, _, _ -> ()
-  | None, None, _ ->
-      if now t - t.started_at > t.params.max_rounds then begin
-        begin_rollback t ~why:"rollout exceeded max_rounds";
-        t.guarding <- [];
-        finish ~force:true t
-      end
-      else if not (consume_fence t) then next_wave t
-  | None, Some w, Some stage -> (
-      if now t - t.started_at > t.params.max_rounds then begin
-        (* hard stop: report whatever state we reached *)
-        t.direction <-
-          (match t.direction with
-          | Forward -> Rollback "rollout exceeded max_rounds"
-          | d -> d);
-        t.guarding <- [];
-        finish ~force:true t
-      end
-      else if consume_fence t then ()
+  if Option.is_none t.result && now t - t.started_at > t.params.max_rounds
+  then begin
+    (* hard stop: fence what is open and report the state we reached *)
+    if t.direction = Forward then
+      begin_rollback t ~why:"rollout exceeded max_rounds";
+    t.guarding <- [];
+    finish ~force:true t
+  end
+  else
+    match (t.result, t.wave, t.stage) with
+    | Some _, _, _ -> ()
+    | None, None, _ -> if not (consume_fence t) then next_wave t
+    | None, Some w, Some stage -> (
+      if consume_fence t then ()
       else
         match stage with
         | Drain { until } ->
             let remaining =
               List.fold_left
-                (fun n id -> n + Lb.in_flight (lb t) ~id)
+                (fun n id -> n + Lifecycle.in_flight (life t id))
                 0 w.w_ids
             in
             let drain_done ~timed_out =
@@ -1036,51 +858,34 @@ let step t =
               t.drain_timeouts <- t.drain_timeouts + 1;
               drain_done ~timed_out:true
             end
-        | Update { handles } ->
-            (* a VM killed while its request is pending can never reach
-               a safe point: count it resolved so the wave proceeds (the
-               resolution scan sees the corpse and quarantines it) *)
-            if
-              List.for_all
-                (fun (id, h) ->
-                  J.Jvolve.resolved h
-                  || VM.Vm.killed (inst t id).Instance.i_vm <> None)
-                handles
-            then update_resolved t w handles
-        | Probe p ->
-            probe_step t w ~live:p.live ~needed:p.needed
-              (fun l -> p.live <- l)
-              (fun (id, n) ->
-                p.needed <-
-                  (id, n) :: List.remove_assoc id p.needed)
+        | Update { ops } ->
+            (* the wave barrier: resolve together once every request has
+               an outcome (a killed VM's stranded request counts) *)
+            let settled (id, op) = Lifecycle.settled (life t id) op in
+            if List.for_all settled ops then update_resolved t w ops
+        | Probe p -> p.ladders <- probe_step t w p.ladders
         | Observe { until; canaries } ->
             if now t >= until then observe_done t ~canaries
         | Backoff { until } -> if now t >= until then enter_wave t w)
-  | None, Some _, None -> next_wave t
+    | None, Some _, None -> next_wave t
 
 let result t = t.result
 
 let describe t =
-  match (t.result, t.wave, t.stage) with
-  | Some r, _, _ -> Fmt.str "%a" pp_result r
-  | None, None, _ -> "starting"
-  | None, Some w, stage ->
-      let ids = String.concat "," (List.map string_of_int w.w_ids) in
-      let dir =
-        match t.direction with
-        | Forward -> "update"
-        | Rollback _ -> "rollback"
-      in
-      let st =
-        match stage with
+  match (t.result, t.wave) with
+  | Some r, _ -> Fmt.str "%a" pp_result r
+  | None, None -> "starting"
+  | None, Some w ->
+      Fmt.str "%s wave [%s]: %s"
+        (match t.direction with Forward -> "update" | Rollback _ -> "rollback")
+        (String.concat "," (List.map string_of_int w.w_ids))
+        (match t.stage with
         | Some (Drain _) -> "draining"
         | Some (Update _) -> "awaiting safe points"
         | Some (Probe _) -> "health probing"
         | Some (Observe _) -> "observing canaries"
         | Some (Backoff _) -> "backing off before retry"
-        | None -> "starting"
-      in
-      Fmt.str "%s wave [%s]: %s" dir ids st
+        | None -> "starting")
 
 (* Convenience: create the orchestrator and drive the fleet until the
    rollout resolves. *)

@@ -108,18 +108,39 @@ let compile p ~version =
 (* Bind the profile's health probe, on the instance's own [port], to a
    guard config that names no probe; a config with a probe is kept. *)
 let guard_config p ~deadline ~port (cfg : Jvolve_core.Guard.config) =
-  match cfg.Jvolve_core.Guard.c_probe with
-  | Some _ -> cfg
-  | None ->
-      {
-        cfg with
-        Jvolve_core.Guard.c_probe =
-          Some
-            (Jvolve_core.Guard.probe_config ~every:20 ~deadline ~port
-               ~line:p.pr_health_probe ~ok:p.pr_health_ok ());
-      }
+  if Option.is_some cfg.Jvolve_core.Guard.c_probe then cfg
+  else
+    let probe =
+      Jvolve_core.Guard.probe_config ~every:20 ~deadline ~port
+        ~line:p.pr_health_probe ~ok:p.pr_health_ok ()
+    in
+    { cfg with Jvolve_core.Guard.c_probe = Some probe }
 
-(* Version tag for renamed old classes, per-instance so a fleet never
-   collides: "514i3" = from-version 5.1.4 on instance 3. *)
-let version_tag ~from_version ~instance_id =
-  Printf.sprintf "%si%d" (Apps.Common.version_tag from_version) instance_id
+(* Update targets compiled once per process, shared by every instance's
+   spec (and by a supervisor's repeated catch-ups); programs are never
+   mutated after compilation. *)
+let compiled : (string * string, CF.Cls.t list) Hashtbl.t = Hashtbl.create 8
+
+let compile_cached p ~version =
+  let key = (p.pr_name, version) in
+  match Hashtbl.find_opt compiled key with
+  | Some prog -> prog
+  | None ->
+      let prog = compile p ~version in
+      Hashtbl.replace compiled key prog;
+      prog
+
+(* The one update spec builder: instance [instance_id], running
+   [old_program] at [from_version], to [to_version] with the app's own
+   transformer overrides for that release.  Renamed old classes get a
+   per-instance version tag so a fleet never collides: "514i3" =
+   from-version 5.1.4 on instance 3. *)
+let spec p ~instance_id ~from_version ~to_version ~old_program =
+  Apps.Common.spec
+    ~overrides:(p.pr_overrides ~to_version)
+    ~version_tag:
+      (Printf.sprintf "%si%d" (Apps.Common.version_tag from_version)
+         instance_id)
+    ~old_program
+    ~new_program:(compile_cached p ~version:to_version)
+    ()

@@ -30,7 +30,6 @@
 
 module VM = Jv_vm
 module J = Jvolve_core
-module Apps = Jv_apps
 module Faults = Jv_faults.Faults
 module Obs = Jv_obs.Obs
 
@@ -60,12 +59,13 @@ let default_params =
 type istate =
   | Watching
   | Waiting of { until : int } (* backoff before the next restart try *)
-  | Probing of { mutable probe : Health.probe; mutable needed : int }
+  | Probing of Lifecycle.ladder
   | Parked of string (* crash loop / restart budget spent: permanent *)
 
 type t = {
   fleet : Fleet.t;
   params : params;
+  lives : Lifecycle.t array; (* per instance id *)
   states : istate array;
   snapshots : string option array; (* last serialized snapshot, per id *)
   attempts : int array; (* restarts consumed, per id *)
@@ -78,9 +78,22 @@ type t = {
 
 let create ?(params = default_params) ~fleet () =
   let n = Fleet.size fleet in
+  let cfg =
+    {
+      Lifecycle.drain_timeout = 0;
+      update_timeout = params.s_catchup_timeout;
+      probe_deadline = params.s_probe_deadline;
+      probes_required = params.s_probes_required;
+      max_retries = 0;
+      backoff_base = params.s_backoff_base;
+      admit_strict = false;
+      guard = params.s_catchup_guard;
+    }
+  in
   {
     fleet;
     params;
+    lives = Array.init n (fun id -> Lifecycle.create fleet cfg ~id);
     states = Array.make n Watching;
     snapshots = Array.make n None;
     attempts = Array.make n 0;
@@ -97,12 +110,11 @@ let recovered t = List.rev t.recovered
 let below_capacity_rounds t = t.below_capacity_rounds
 
 let parked t =
-  let acc = ref [] in
-  Array.iteri
-    (fun id st ->
-      match st with Parked why -> acc := (id, why) :: !acc | _ -> ())
-    t.states;
-  List.rev !acc
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun id st -> match st with Parked why -> [ (id, why) ] | _ -> [])
+          t.states))
 
 let obs t = Fleet.obs t.fleet
 let now t = Fleet.ticks t.fleet
@@ -121,8 +133,7 @@ let alive t =
   List.fold_left
     (fun n (i : Instance.t) ->
       if
-        VM.Vm.killed i.Instance.i_vm = None
-        && i.Instance.i_status = Instance.In_service
+        Instance.serving i
         && Lb.admitting (Fleet.lb t.fleet) ~id:i.Instance.i_id
       then n + 1
       else n)
@@ -141,29 +152,22 @@ let ladder_index t v =
    earlier rung (catching up too little is recoverable, too much is
    not).  Falls back to the instance's own base version. *)
 let target_version t ~excluding =
-  let tally = Hashtbl.create 8 in
-  List.iter
-    (fun (i : Instance.t) ->
-      if
-        i.Instance.i_id <> excluding
-        && VM.Vm.killed i.Instance.i_vm = None
-        && i.Instance.i_status = Instance.In_service
-      then
-        Hashtbl.replace tally i.Instance.i_version
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tally i.Instance.i_version)))
-    (Fleet.instances t.fleet);
-  let best = ref None in
-  Hashtbl.iter
-    (fun v n ->
-      match !best with
-      | None -> best := Some (v, n)
-      | Some (bv, bn) ->
-          if n > bn || (n = bn && ladder_index t v < ladder_index t bv) then
-            best := Some (v, n))
-    tally;
-  match !best with
-  | Some (v, _) -> v
-  | None -> (inst t excluding).Instance.i_base_version
+  let peers =
+    List.filter_map
+      (fun (i : Instance.t) ->
+        if i.Instance.i_id <> excluding && Instance.serving i then
+          Some i.Instance.i_version
+        else None)
+      (Fleet.instances t.fleet)
+  in
+  let score v =
+    (List.length (List.filter (( = ) v) peers), -ladder_index t v)
+  in
+  List.fold_left
+    (fun best v ->
+      match best with Some b when score b >= score v -> best | _ -> Some v)
+    None peers
+  |> Option.value ~default:(inst t excluding).Instance.i_base_version
 
 (* --- snapshots --------------------------------------------------------- *)
 
@@ -189,12 +193,8 @@ let maybe_snapshot t =
   then
     Array.iteri
       (fun id st ->
-        let i = inst t id in
-        if
-          st = Watching
-          && VM.Vm.killed i.Instance.i_vm = None
-          && i.Instance.i_status = Instance.In_service
-        then take_snapshot t id)
+        if st = Watching && Instance.serving (inst t id) then
+          take_snapshot t id)
       t.states
 
 (* --- the recovery arc -------------------------------------------------- *)
@@ -213,7 +213,7 @@ let schedule_restart t id =
       ~why:(Printf.sprintf "crash loop: %d restarts exhausted" t.params.s_max_restarts)
   else begin
     t.attempts.(id) <- n;
-    let backoff = t.params.s_backoff_base * (1 lsl (n - 1)) in
+    let backoff = Lifecycle.backoff ~base:t.params.s_backoff_base ~attempt:n in
     emit_ev t "restart.scheduled"
       [
         ("instance", Obs.Int id);
@@ -224,52 +224,23 @@ let schedule_restart t id =
   end
 
 let detect t id =
-  let i = inst t id in
   let why =
-    match VM.Vm.killed i.Instance.i_vm with
-    | Some w -> w
-    | None -> "quarantined"
+    Option.value ~default:"quarantined" (VM.Vm.killed (inst t id).Instance.i_vm)
   in
   t.detected_at.(id) <- now t;
   emit_ev t "instance.down" [ ("instance", Obs.Int id); ("why", Obs.Str why) ];
   schedule_restart t id
 
-let start_probe t id =
-  let i = inst t id in
-  Health.start ~net:(Instance.net i) ~port:i.Instance.i_port
-    ~line:(Fleet.profile t.fleet).Profile.pr_health_probe
-    ~ok:(Fleet.profile t.fleet).Profile.pr_health_ok ~now:(now t)
-    ~deadline_rounds:t.params.s_probe_deadline
-
-(* Ladder rungs from the instance's (freshly rebooted) version up to the
-   fleet's current one. *)
-let catchup_path t id ~target =
-  let i = inst t id in
-  let versions = Profile.versions (Fleet.profile t.fleet) in
-  let rec hops from = function
-    | [] -> []
-    | v :: rest ->
-        if ladder_index t v <= ladder_index t from then hops from rest
-        else if ladder_index t v > ladder_index t target then []
-        else (from, v) :: hops v rest
-  in
-  hops i.Instance.i_version versions
-
+(* Walk the ladder rungs from the instance's (freshly rebooted) version
+   up to [target], one synchronous update per rung. *)
 let catch_up t id ~target : (unit, string) result =
   let i = inst t id in
-  let profile = Fleet.profile t.fleet in
+  let lo = ladder_index t i.Instance.i_version and hi = ladder_index t target in
   let rec go = function
     | [] -> Ok ()
-    | (from_v, to_v) :: rest -> (
-        let spec =
-          Apps.Common.spec
-            ~overrides:(profile.Profile.pr_overrides ~to_version:to_v)
-            ~version_tag:
-              (Profile.version_tag ~from_version:from_v ~instance_id:id)
-            ~old_program:i.Instance.i_program
-            ~new_program:(Profile.compile profile ~version:to_v)
-            ()
-        in
+    | to_v :: rest -> (
+        let from_v = i.Instance.i_version in
+        let spec = Lifecycle.spec t.lives.(id) ~to_version:to_v in
         match
           J.Jvolve.run_ladder ~timeout_rounds:t.params.s_catchup_timeout
             ?guard:t.params.s_catchup_guard
@@ -286,7 +257,10 @@ let catch_up t id ~target : (unit, string) result =
               (Printf.sprintf "catch-up %s->%s failed: %s" from_v to_v
                  (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome)))
   in
-  go (catchup_path t id ~target)
+  go
+    (List.filteri
+       (fun k _ -> k > lo && k <= hi)
+       (Profile.versions (Fleet.profile t.fleet)))
 
 let try_restart t id =
   (* injectable restart failure: any armed action at this point means
@@ -326,19 +300,16 @@ let try_restart t id =
         Result.bind restored (fun () -> catch_up t id ~target)
       with
       | Ok () ->
-          (match t.on_restarted with Some f -> f id | None -> ());
-          t.states.(id) <-
-            Probing { probe = start_probe t id; needed = t.params.s_probes_required }
+          Option.iter (fun f -> f id) t.on_restarted;
+          t.states.(id) <- Probing (Lifecycle.probe t.lives.(id))
       | Error why ->
           emit_ev t "restart.failed"
             [ ("instance", Obs.Int id); ("why", Obs.Str why) ];
-          i.Instance.i_status <- Instance.Out_of_service;
+          Lifecycle.take_out t.lives.(id);
           schedule_restart t id)
 
 let readmit t id =
-  let i = inst t id in
-  i.Instance.i_status <- Instance.In_service;
-  Lb.set_admit (Fleet.lb t.fleet) ~id true;
+  Lifecycle.serve t.lives.(id);
   let mttr = now t - t.detected_at.(id) in
   Obs.incr (obs t) "fleet.rollout.readmitted";
   Obs.observe_int (obs t) "fleet.mttr_rounds" mttr;
@@ -363,24 +334,18 @@ let step_instance t id =
         then detect t id
       end
   | Waiting { until } -> if now t >= until then try_restart t id
-  | Probing p -> (
-      (* the replacement can die while still being probed *)
-      if VM.Vm.killed (inst t id).Instance.i_vm <> None then
-        schedule_restart t id
-      else begin
-        Health.step p.probe ~now:(now t);
-        match Health.outcome p.probe with
-        | Health.Pending -> ()
-        | Health.Unhealthy why ->
-            emit_ev t "probe.unhealthy"
-              [ ("instance", Obs.Int id); ("why", Obs.Str why) ];
-            (inst t id).Instance.i_status <- Instance.Out_of_service;
-            schedule_restart t id
-        | Health.Healthy _ ->
-            p.needed <- p.needed - 1;
-            if p.needed <= 0 then readmit t id
-            else p.probe <- start_probe t id
-      end)
+  | Probing l -> (
+      match Lifecycle.probe_step t.lives.(id) l with
+      | Some (Lifecycle.Healthy _) -> if Lifecycle.passed l then readmit t id
+      | Some (Lifecycle.Unhealthy why) ->
+          emit_ev t "probe.unhealthy"
+            [ ("instance", Obs.Int id); ("why", Obs.Str why) ];
+          Lifecycle.take_out t.lives.(id);
+          schedule_restart t id
+      | Some _ ->
+          (* the replacement died while still being probed *)
+          schedule_restart t id
+      | None -> ())
 
 let step t =
   maybe_snapshot t;
@@ -395,16 +360,11 @@ let step t =
 (* All-clear: every instance is either serving at full health or parked
    for good — nothing is still mid-recovery. *)
 let settled t =
-  let ok = ref true in
-  Array.iteri
-    (fun id st ->
-      match st with
-      | Parked _ -> ()
-      | Watching -> if dead t id then ok := false
-      | Waiting _ | Probing _ -> ok := false)
-    t.states;
-  !ok
-
-let describe t =
-  Printf.sprintf "supervisor: %d alive, %d restarts, %d recovered, %d parked"
-    (alive t) t.restarts (List.length t.recovered) (List.length (parked t))
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun id st ->
+         match st with
+         | Parked _ -> true
+         | Watching -> not (dead t id)
+         | Waiting _ | Probing _ -> false)
+       t.states)

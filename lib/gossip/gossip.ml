@@ -90,12 +90,10 @@ type t = {
   base_port : int;
   quorum : int;
   fence : int;
-  compiled : (string, Jv_classfile.Cls.t list) Hashtbl.t;
   epoch_counts : (int, int) Hashtbl.t; (* over live (counted) nodes *)
   counted : bool array; (* node still in the convergence tally *)
   mutable mixed_window : int;
   mutable last_net_bytes : int;
-  mutable proposed_epoch : int option; (* highest epoch ever proposed *)
 }
 
 let obs t = F.Fleet.obs t.fleet
@@ -117,23 +115,12 @@ let count_epoch t ~old_epoch ~new_epoch =
 let spec_digest profile ~to_version =
   Digest.to_hex (Digest.string (F.Profile.source profile ~version:to_version))
 
-let compile_cached t ~version =
-  match Hashtbl.find_opt t.compiled version with
-  | Some p -> p
-  | None ->
-      let p = F.Profile.compile t.fleet.F.Fleet.profile ~version in
-      Hashtbl.replace t.compiled version p;
-      p
-
 (* Build the [Node] for instance [id], drawing its backoff jitter from
    the shared schedule stream.  Used by [create] for every instance and
-   again by [rejoin] when the supervisor replaces a crashed VM — the
-   closures capture the (mutable) [Instance.t] record, not the VM, so
-   they stay valid across a reboot. *)
+   again by [rejoin] when the supervisor replaces a crashed VM — the node
+   holds the (mutable) [Instance.t] record, not the VM, so it stays valid
+   across a reboot. *)
 let node_for t ~id ~epoch =
-  let profile = t.fleet.F.Fleet.profile in
-  let inst = F.Fleet.instance t.fleet id in
-  let lb = F.Fleet.lb t.fleet in
   let jitter =
     if t.params.g_apply_jitter > 0 then
       Faults.draw_int t.rng (t.params.g_apply_jitter + 1)
@@ -143,35 +130,20 @@ let node_for t ~id ~epoch =
     {
       Node.nc_quorum = t.quorum;
       nc_fence = t.fence;
-      nc_drain_timeout = t.params.g_drain_timeout;
-      nc_update_timeout = t.params.g_update_timeout;
-      nc_max_retries = t.params.g_max_retries;
-      nc_backoff_base = t.params.g_backoff_base + jitter;
-      nc_guard =
-        Option.map
-          (F.Profile.guard_config profile ~deadline:t.params.g_probe_deadline
-             ~port:inst.F.Instance.i_port)
-          t.params.g_guard;
+      nc_life =
+        {
+          F.Lifecycle.drain_timeout = t.params.g_drain_timeout;
+          update_timeout = t.params.g_update_timeout;
+          probe_deadline = t.params.g_probe_deadline;
+          probes_required = 0;
+          max_retries = t.params.g_max_retries;
+          backoff_base = t.params.g_backoff_base + jitter;
+          admit_strict = false;
+          guard = t.params.g_guard;
+        };
     }
   in
-  Node.create ~epoch ~id ~inst ~cfg
-    ~set_admit:(fun admit -> F.Lb.set_admit lb ~id admit)
-    ~in_flight:(fun () -> F.Lb.in_flight lb ~id)
-    ~spec_for:(fun (p : Mempool.proposal) ->
-      if p.Mempool.p_from_version <> inst.F.Instance.i_version then
-        Error "base version mismatch"
-      else
-        Ok
-          (Jv_apps.Common.spec
-             ~overrides:
-               (profile.F.Profile.pr_overrides
-                  ~to_version:p.Mempool.p_to_version)
-             ~version_tag:
-               (F.Profile.version_tag
-                  ~from_version:p.Mempool.p_from_version ~instance_id:id)
-             ~old_program:inst.F.Instance.i_program
-             ~new_program:(compile_cached t ~version:p.Mempool.p_to_version)
-             ()))
+  Node.create ~epoch ~fleet:t.fleet ~id ~cfg
     ~on_epoch:(fun old_e new_e ->
       count_epoch t ~old_epoch:(Some old_e) ~new_epoch:(Some new_e))
     ()
@@ -209,12 +181,10 @@ let create ?chaos ?(params = default_params) ~fleet () =
       base_port = default_base_port;
       quorum;
       fence;
-      compiled = Hashtbl.create 4;
       epoch_counts = Hashtbl.create 4;
       counted = Array.make n true;
       mixed_window = 0;
       last_net_bytes = 0;
-      proposed_epoch = None;
     }
   in
   Hashtbl.replace t.epoch_counts 0 n;
@@ -237,10 +207,6 @@ let create ?chaos ?(params = default_params) ~fleet () =
 let node t id = t.peers.(id).ps_node
 let size t = Array.length t.peers
 
-(* Per-node jitter also spreads drain starts; see nc_backoff_base above.
-   The first apply wave is additionally staggered by casting the initial
-   quorum threshold per node... (kept simple: jitter on backoff only). *)
-
 (* --- proposing ---------------------------------------------------------- *)
 
 (* Inject a proposal at [origin]'s mempool, exactly as if it had arrived
@@ -249,8 +215,7 @@ let size t = Array.length t.peers
 let propose t ~origin ~to_version =
   let profile = t.fleet.F.Fleet.profile in
   let nd = node t origin in
-  let inst = t.fleet |> fun f -> F.Fleet.instance f origin in
-  let from_version = inst.F.Instance.i_version in
+  let from_version = Node.version nd in
   let epoch = Node.epoch nd + 1 in
   let digest = spec_digest profile ~to_version in
   let id = Mempool.proposal_id ~epoch ~from_version ~to_version ~digest in
@@ -264,8 +229,6 @@ let propose t ~origin ~to_version =
       p_origin = origin;
     }
   in
-  t.proposed_epoch <-
-    Some (max epoch (Option.value ~default:0 t.proposed_epoch));
   Obs.emit (obs t) ~scope:"gossip" "propose"
     [
       ("origin", Obs.Int origin);
@@ -288,6 +251,16 @@ let key_item pool key : Wire.msg option =
       | Some voter ->
           Option.map (fun v -> Wire.Vote v) (Mempool.vote_for pool ~prop ~voter))
   | _ -> None
+
+(* Answer a WANT: push every wanted item [ps]'s pool holds. *)
+let answer_want (ps : peer_state) keys ~send =
+  List.iter
+    (fun k ->
+      let pool = Node.pool ps.ps_node in
+      Option.iter
+        (fun m -> send (Wire.encode m))
+        (Mempool.with_lock pool (fun () -> key_item pool k)))
+    keys
 
 (* Server side: ingest every line pending on [ps]'s accepted conns,
    answering digests in place. *)
@@ -329,15 +302,7 @@ let serve t (ps : peer_state) =
         if want <> [] then
           Simnet.send t.net ~conn_id:cid (Wire.encode (Wire.Want want))
     | Ok (Wire.Want keys) ->
-        List.iter
-          (fun k ->
-            match
-              Mempool.with_lock (Node.pool ps.ps_node) (fun () ->
-                  key_item (Node.pool ps.ps_node) k)
-            with
-            | Some m -> Simnet.send t.net ~conn_id:cid (Wire.encode m)
-            | None -> ())
-          keys
+        answer_want ps keys ~send:(Simnet.send t.net ~conn_id:cid)
     | Ok Wire.Bye -> ()
   in
   ps.ps_sconns <-
@@ -434,17 +399,8 @@ let pump_digests t (ps : peer_state) =
               | Ok (Wire.Prop _ as m) | Ok (Wire.Vote _ as m) ->
                   Node.learn ps.ps_node m
               | Ok (Wire.Want keys) ->
-                  List.iter
-                    (fun k ->
-                      match
-                        Mempool.with_lock (Node.pool ps.ps_node) (fun () ->
-                            key_item (Node.pool ps.ps_node) k)
-                      with
-                      | Some m ->
-                          Simnet.client_send t.net ~conn_id:cid
-                            (Wire.encode m)
-                      | None -> ())
-                    keys;
+                  answer_want ps keys
+                    ~send:(Simnet.client_send t.net ~conn_id:cid);
                   Simnet.client_send t.net ~conn_id:cid
                     (Wire.encode Wire.Bye);
                   Simnet.client_close t.net ~conn_id:cid;
@@ -612,7 +568,6 @@ let settled t =
   Array.for_all (fun ps -> is_settled_phase (Node.phase ps.ps_node)) t.peers
 
 let converged t = settled t && uniform_epoch t <> None
-let mixed_window t = t.mixed_window
 
 let run t ?(on_round = fun _ -> ()) ~max_rounds () =
   let rec go r =
@@ -657,15 +612,16 @@ let node_counter_sum t name =
   Array.fold_left
     (fun acc ps ->
       acc
-      + Obs.counter_value (VM.Vm.obs ps.ps_node.Node.n_inst.F.Instance.i_vm)
+      + Obs.counter_value (VM.Vm.obs (Node.instance ps.ps_node).F.Instance.i_vm)
           name)
     0 t.peers
 
 let report t ~rounds =
   let stuck =
-    Array.to_list t.peers
-    |> List.filteri (fun _ ps -> not (Node.live ps.ps_node))
-    |> List.map (fun ps -> ps.ps_node.Node.n_id)
+    List.filter_map
+      (fun ps ->
+        if Node.live ps.ps_node then None else Some ps.ps_node.Node.n_id)
+      (Array.to_list t.peers)
   in
   let applied =
     Array.fold_left

@@ -145,17 +145,15 @@ let tally t ~prop =
    digest.  A vote's key carries its stance: a hardened Pro -> Con vote
    is a different item than the Pro it replaced, and reconciliation must
    move it. *)
+let vote_key v =
+  Printf.sprintf "V:%s:%d:%s" v.v_prop v.v_voter
+    (match v.v_stance with Pro -> "P" | Con -> "C")
+
 let keys t =
   require_lock t;
   List.map (fun p -> "P:" ^ p.p_id) t.proposals
   @ List.filter_map
-      (fun key ->
-        match Hashtbl.find_opt t.votes key with
-        | None -> None
-        | Some v ->
-            Some
-              (Printf.sprintf "V:%s:%d:%s" v.v_prop v.v_voter
-                 (match v.v_stance with Pro -> "P" | Con -> "C")))
+      (fun key -> Option.map vote_key (Hashtbl.find_opt t.votes key))
       t.vote_keys
 
 (* Items of [t] whose keys the remote digest lacks (what we should push
@@ -172,12 +170,7 @@ let missing_from t ~remote_keys =
       (fun key ->
         match Hashtbl.find_opt t.votes key with
         | None -> None
-        | Some v ->
-            let k =
-              Printf.sprintf "V:%s:%d:%s" v.v_prop v.v_voter
-                (match v.v_stance with Pro -> "P" | Con -> "C")
-            in
-            if Hashtbl.mem remote k then None else Some v)
+        | Some v -> if Hashtbl.mem remote (vote_key v) then None else Some v)
       t.vote_keys
   in
   (props, vs)

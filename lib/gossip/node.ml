@@ -7,7 +7,7 @@
      advances its own epoch from its own version, Con otherwise);
    - it applies a proposal only once its mempool holds the apply quorum
      of Pro votes — drain (stop admitting, wait for in-flight), then a
-     guarded DSU through the ordinary [Jvolve.request_spec] pipeline;
+     guarded DSU through the shared per-instance arc ([Lifecycle]);
    - a guard trip auto-reverts in-VM (the PR 5 machinery) and the node
      then broadcasts the verdict as a ["trip:"]-prefixed Con vote;
    - trip votes reaching the {e fence} quorum condemn the proposal
@@ -22,50 +22,35 @@
    rollout converges with every live node back on the old epoch. *)
 
 module J = Jvolve_core
-module VM = Jv_vm
+module Lifecycle = Jv_fleet.Lifecycle
 module Instance = Jv_fleet.Instance
 
 type config = {
   nc_quorum : int; (* Pro votes required to apply (self included) *)
   nc_fence : int; (* trip votes required to condemn a proposal *)
-  nc_drain_timeout : int;
-  nc_update_timeout : int;
-  nc_max_retries : int;
-  nc_backoff_base : int;
-  nc_guard : J.Guard.config option; (* per-node, probe already bound *)
+  nc_life : Lifecycle.config; (* drain, update, retry and guard settings *)
 }
 
 type phase =
   | Idle
-  | Draining of { prop : string; until : int }
-  | Updating of { prop : string; handle : J.Jvolve.handle }
-  | Guarded of { prop : string; handle : J.Jvolve.handle }
-  | Reverting of { prop : string; handle : J.Jvolve.handle }
-  | Backoff of { prop : string; until : int }
+  | Draining of { prop : Mempool.proposal; until : int }
+  | Updating of { prop : Mempool.proposal; op : Lifecycle.op }
+  | Guarded of { prop : Mempool.proposal; op : Lifecycle.op }
+  | Reverting of { prop : Mempool.proposal; op : Lifecycle.op }
+  | Backoff of { prop : Mempool.proposal; until : int }
   | Stuck of string
-
-let phase_to_string = function
-  | Idle -> "idle"
-  | Draining _ -> "draining"
-  | Updating _ -> "updating"
-  | Guarded _ -> "guarded"
-  | Reverting _ -> "reverting"
-  | Backoff _ -> "backoff"
-  | Stuck why -> "stuck: " ^ why
 
 type t = {
   n_id : int;
-  n_inst : Instance.t;
+  n_life : Lifecycle.t; (* this instance's update arc *)
   n_pool : Mempool.t;
   n_cfg : config;
-  n_set_admit : bool -> unit; (* LB admission for this backend *)
-  n_in_flight : unit -> int; (* this backend's live proxied sessions *)
-  n_spec_for : Mempool.proposal -> (J.Spec.t, string) result;
   n_on_epoch : int -> int -> unit; (* old -> new, for fleet tallies *)
   n_obs : Jv_obs.Obs.t; (* the instance VM's own sink *)
   mutable n_epoch : int;
   mutable n_phase : phase;
-  mutable n_applied : (string * J.Spec.t) option; (* live forward spec *)
+  mutable n_applied : (Mempool.proposal * Lifecycle.op) option;
+      (* the live forward update *)
   mutable n_fenced : string list; (* condemned proposal ids *)
   mutable n_attempts : (string * int) list; (* per-proposal aborts *)
   mutable n_out : Wire.msg list; (* fresh rumors, drained by the runtime *)
@@ -73,18 +58,15 @@ type t = {
 
 let epoch_gauge = "gossip.epoch"
 
-let create ?(epoch = 0) ~id ~inst ~cfg ~set_admit ~in_flight ~spec_for
-    ~on_epoch () =
-  let obs = VM.Vm.obs inst.Instance.i_vm in
+let create ?(epoch = 0) ~fleet ~id ~cfg ~on_epoch () =
+  let life = Lifecycle.create fleet cfg.nc_life ~id in
+  let obs = Jv_vm.Vm.obs (Lifecycle.instance life).Instance.i_vm in
   Jv_obs.Obs.set_gauge obs epoch_gauge (float_of_int epoch);
   {
     n_id = id;
-    n_inst = inst;
+    n_life = life;
     n_pool = Mempool.create ();
     n_cfg = cfg;
-    n_set_admit = set_admit;
-    n_in_flight = in_flight;
-    n_spec_for = spec_for;
     n_on_epoch = on_epoch;
     n_obs = obs;
     n_epoch = epoch;
@@ -98,6 +80,8 @@ let create ?(epoch = 0) ~id ~inst ~cfg ~set_admit ~in_flight ~spec_for
 let epoch t = t.n_epoch
 let phase t = t.n_phase
 let pool t = t.n_pool
+let instance t = Lifecycle.instance t.n_life
+let version t = (instance t).Instance.i_version
 let live t = match t.n_phase with Stuck _ -> false | _ -> true
 let take_out t =
   let out = List.rev t.n_out in
@@ -122,6 +106,10 @@ let cast t ~prop ~stance ~why =
   | `Fresh | `Hardened -> t.n_out <- Wire.Vote v :: t.n_out
   | `Stale -> ()
 
+let cast_con t ~prop ~why =
+  Mempool.with_lock t.n_pool (fun () ->
+      cast t ~prop ~stance:Mempool.Con ~why)
+
 (* --- ingesting gossip --------------------------------------------------- *)
 
 (* Feed one decoded payload into the pool; anything fresh is queued for
@@ -137,14 +125,14 @@ let learn t msg =
           | `Fresh ->
               t.n_out <- Wire.Prop p :: t.n_out;
               if
-                p.Mempool.p_from_version = t.n_inst.Instance.i_version
+                p.Mempool.p_from_version = version t
                 && p.Mempool.p_epoch = t.n_epoch + 1
               then cast t ~prop:p.Mempool.p_id ~stance:Mempool.Pro ~why:"ok"
               else
                 cast t ~prop:p.Mempool.p_id ~stance:Mempool.Con
                   ~why:
-                    (Printf.sprintf "base-mismatch:%s@e%d"
-                       t.n_inst.Instance.i_version t.n_epoch))
+                    (Printf.sprintf "base-mismatch:%s@e%d" (version t)
+                       t.n_epoch))
       | Wire.Vote v -> (
           match Mempool.add_vote t.n_pool v with
           | `Fresh | `Hardened ->
@@ -163,9 +151,10 @@ let note_attempt t prop =
   t.n_attempts <- (prop, n) :: List.remove_assoc prop t.n_attempts;
   n
 
-let readmit t =
-  t.n_inst.Instance.i_status <- Instance.In_service;
-  t.n_set_admit true
+let fenced t (p : Mempool.proposal) = List.mem p.Mempool.p_id t.n_fenced
+
+let condemn t (p : Mempool.proposal) =
+  if not (fenced t p) then t.n_fenced <- p.Mempool.p_id :: t.n_fenced
 
 (* A proposal this node should move on: targets our epoch + version, has
    the apply quorum of Pro votes, and is not condemned. *)
@@ -173,10 +162,10 @@ let actionable t =
   Mempool.with_lock t.n_pool (fun () ->
       List.find_opt
         (fun (p : Mempool.proposal) ->
-          (not (List.mem p.Mempool.p_id t.n_fenced))
+          (not (fenced t p))
           && p.Mempool.p_epoch = t.n_epoch + 1
-          && p.Mempool.p_from_version = t.n_inst.Instance.i_version
-          && attempts t p.Mempool.p_id <= t.n_cfg.nc_max_retries
+          && p.Mempool.p_from_version = version t
+          && attempts t p.Mempool.p_id <= t.n_cfg.nc_life.Lifecycle.max_retries
           &&
           let pro, _, trip = Mempool.tally t.n_pool ~prop:p.Mempool.p_id in
           pro >= t.n_cfg.nc_quorum && trip < t.n_cfg.nc_fence)
@@ -188,247 +177,150 @@ let newly_fenced t =
   Mempool.with_lock t.n_pool (fun () ->
       List.filter
         (fun (p : Mempool.proposal) ->
-          (not (List.mem p.Mempool.p_id t.n_fenced))
+          (not (fenced t p))
           &&
           let _, _, trip = Mempool.tally t.n_pool ~prop:p.Mempool.p_id in
           trip >= t.n_cfg.nc_fence)
         (Mempool.proposals t.n_pool))
 
-let start_update t ~prop ~now:_ =
-  match
-    Mempool.with_lock t.n_pool (fun () -> Mempool.find t.n_pool prop)
-  with
-  | None -> t.n_phase <- Idle (* cannot happen: pools never forget *)
-  | Some p -> (
-      match t.n_spec_for p with
-      | Error e ->
-          Mempool.with_lock t.n_pool (fun () ->
-              cast t ~prop ~stance:Mempool.Con ~why:("prepare:" ^ e));
-          readmit t;
-          t.n_phase <- Stuck ("spec build failed: " ^ e)
-      | Ok spec -> (
-          t.n_inst.Instance.i_status <- Instance.Updating;
-          match
-            J.Jvolve.request_spec
-              ~timeout_rounds:t.n_cfg.nc_update_timeout
-              ?guard:t.n_cfg.nc_guard t.n_inst.Instance.i_vm spec
-          with
-          | handle ->
-              t.n_applied <- Some (prop, spec);
-              t.n_phase <- Updating { prop; handle }
-          | exception J.Transformers.Prepare_error e ->
-              Mempool.with_lock t.n_pool (fun () ->
-                  cast t ~prop ~stance:Mempool.Con ~why:("prepare:" ^ e));
-              readmit t;
-              t.n_phase <- Stuck ("prepare error: " ^ e)))
+let start_update t (p : Mempool.proposal) =
+  let to_version = p.Mempool.p_to_version in
+  let op =
+    Lifecycle.request t.n_life ~to_version
+      (Lifecycle.spec t.n_life ~to_version)
+  in
+  t.n_applied <- Some (p, op);
+  t.n_phase <- Updating { prop = p; op }
 
 (* The guard tripped (budget or force): the VM already reverted itself.
    Publish the verdict as a trip vote and fall back to the old epoch
    ([p_epoch - 1] — a no-op when the trip outran our own apply scan and
    the epoch was never bumped). *)
-let guard_reverted t ~prop (v : J.Guard.verdict) =
+let guard_reverted t (p : Mempool.proposal) (v : J.Guard.verdict) =
   Jv_obs.Obs.incr t.n_obs "gossip.guard_trips";
-  Mempool.with_lock t.n_pool (fun () ->
-      cast t ~prop ~stance:Mempool.Con
-        ~why:(Mempool.trip_prefix ^ J.Guard.verdict_to_string v));
-  if not (List.mem prop t.n_fenced) then t.n_fenced <- prop :: t.n_fenced;
-  (match
-     ( Mempool.with_lock t.n_pool (fun () -> Mempool.find t.n_pool prop),
-       t.n_applied )
-   with
-  | Some pr, Some (p, spec) when p = prop ->
-      t.n_inst.Instance.i_version <- pr.Mempool.p_from_version;
-      t.n_inst.Instance.i_program <- spec.J.Spec.old_program;
-      t.n_applied <- None;
-      set_epoch t (pr.Mempool.p_epoch - 1)
-  | _ -> ());
-  readmit t;
+  cast_con t ~prop:p.Mempool.p_id
+    ~why:(Mempool.trip_prefix ^ J.Guard.verdict_to_string v);
+  condemn t p;
+  t.n_applied <- None;
+  set_epoch t (p.Mempool.p_epoch - 1);
   t.n_phase <- Idle
 
-(* The peer-to-peer inverse wave: this node applied [prop], the fence
-   quorum condemned it, and the guard window is already closed — apply
-   the inverse spec through the ordinary update pipeline (unguarded,
-   like the orchestrator's rollbacks). *)
-let start_inverse t ~prop =
-  match t.n_applied with
-  | Some (p, spec) when p = prop -> (
-      t.n_inst.Instance.i_status <- Instance.Rolling_back;
-      t.n_set_admit false;
-      match
-        J.Jvolve.request_spec ~timeout_rounds:t.n_cfg.nc_update_timeout
-          t.n_inst.Instance.i_vm (J.Spec.inverse spec)
-      with
-      | handle -> t.n_phase <- Reverting { prop; handle }
-      | exception J.Transformers.Prepare_error e ->
-          t.n_inst.Instance.i_status <- Instance.Out_of_service;
-          t.n_set_admit false;
-          t.n_phase <- Stuck ("inverse prepare error: " ^ e))
-  | _ -> t.n_phase <- Idle (* nothing applied: nothing to undo *)
+(* The peer-to-peer inverse wave: this node applied [p] and the fence
+   quorum condemned it.  An open guard window reverts in-VM (replaying
+   the retained log); a closed one gets the inverse spec, unguarded,
+   with the instance out of the LB rotation. *)
+let undo t p op =
+  if Lifecycle.watching op then begin
+    ignore (Lifecycle.revert t.n_life op ~reason:"gossip fence quorum");
+    t.n_phase <- Guarded { prop = p; op }
+  end
+  else begin
+    Lifecycle.drain t.n_life;
+    let inverse = Lifecycle.revert t.n_life op ~reason:"gossip fence quorum" in
+    t.n_phase <- Reverting { prop = p; op = inverse }
+  end
 
-(* Fence consequences for the node's own position on [prop].  A node
+(* Fence consequences for the node's own position on [p].  A node
    mid-[Updating] is left alone — its DSU attempt must resolve first,
    and the resolution path re-checks [n_fenced]. *)
-let enforce_fence t ~prop ~now:_ =
-  if not (List.mem prop t.n_fenced) then t.n_fenced <- prop :: t.n_fenced;
+let enforce_fence t (p : Mempool.proposal) =
+  condemn t p;
   Jv_obs.Obs.incr t.n_obs "gossip.fences_enforced";
+  let ours (q : Mempool.proposal) = q.Mempool.p_id = p.Mempool.p_id in
   match t.n_phase with
-  | Draining { prop = p; _ } | Backoff { prop = p; _ } when p = prop ->
+  | (Draining { prop; _ } | Backoff { prop; _ }) when ours prop ->
       (* never started: stand down and keep serving the old version *)
-      readmit t;
+      Lifecycle.serve t.n_life;
       t.n_phase <- Idle
-  | Guarded { prop = p; handle } when p = prop ->
-      (* window still open: the in-VM revert replays the retained log;
-         a window that already closed cleanly is caught at the Guarded
-         resolution step via [n_fenced] *)
-      if J.Jvolve.guard_active handle then
-        J.Jvolve.force_trip t.n_inst.Instance.i_vm handle
-          ~reason:"gossip fence quorum"
+  | Guarded { prop; op } when ours prop && Lifecycle.watching op ->
+      (* a window that already closed is caught at the Guarded step *)
+      undo t prop op
   | Idle -> (
       match t.n_applied with
-      | Some (p, _) when p = prop -> start_inverse t ~prop
+      | Some (prop, op) when ours prop -> undo t prop op
       | _ -> ())
   | _ -> ()
 
-let resolve_update t ~prop ~(handle : J.Jvolve.handle) ~now =
-  match handle.J.Jvolve.h_outcome with
-  | J.Jvolve.Pending -> ()
-  | J.Jvolve.Applied _ -> (
-      let p =
-        Mempool.with_lock t.n_pool (fun () -> Mempool.find t.n_pool prop)
-      in
-      (match (p, t.n_applied) with
-      | Some pr, Some (_, spec) ->
-          t.n_inst.Instance.i_version <- pr.Mempool.p_to_version;
-          t.n_inst.Instance.i_program <- spec.J.Spec.new_program;
-          set_epoch t pr.Mempool.p_epoch
-      | _ -> ());
+let resolve_update t (p : Mempool.proposal) op ~now = function
+  | Lifecycle.Applied ->
+      set_epoch t p.Mempool.p_epoch;
       Jv_obs.Obs.incr t.n_obs "gossip.applies";
       (* the fence may have arrived while our attempt was in flight *)
-      if List.mem prop t.n_fenced then
-        if J.Jvolve.guard_active handle then begin
-          J.Jvolve.force_trip t.n_inst.Instance.i_vm handle
-            ~reason:"gossip fence quorum";
-          t.n_phase <- Guarded { prop; handle }
-        end
-        else start_inverse t ~prop
+      if fenced t p then undo t p op
       else begin
-        readmit t;
-        if J.Jvolve.guard_active handle then
-          t.n_phase <- Guarded { prop; handle }
-        else t.n_phase <- Idle
-      end)
-  | J.Jvolve.Reverted v ->
+        Lifecycle.serve t.n_life;
+        t.n_phase <-
+          (if Lifecycle.watching op then Guarded { prop = p; op } else Idle)
+      end
+  | Lifecycle.Tripped v ->
       (* tripped before we ever saw the apply: already back on old code *)
-      guard_reverted t ~prop v
-  | J.Jvolve.Aborted a ->
+      guard_reverted t p v
+  | Lifecycle.Clean_abort e ->
       t.n_applied <- None;
-      let e = J.Updater.abort_to_string a in
-      let killed = VM.Vm.killed t.n_inst.Instance.i_vm <> None in
-      if killed || not a.J.Updater.a_rolled_back then begin
-        t.n_inst.Instance.i_status <- Instance.Out_of_service;
-        t.n_set_admit false;
-        t.n_phase <- Stuck ("abort without rollback: " ^ e)
-      end
+      let n = note_attempt t p.Mempool.p_id in
+      let life = t.n_cfg.nc_life in
+      if n <= life.Lifecycle.max_retries then
+        let delay =
+          Lifecycle.backoff ~base:life.Lifecycle.backoff_base ~attempt:n
+        in
+        t.n_phase <- Backoff { prop = p; until = now + delay }
       else begin
-        let n = note_attempt t prop in
-        readmit t;
-        if n <= t.n_cfg.nc_max_retries then
-          t.n_phase <-
-            Backoff { prop; until = now + (t.n_cfg.nc_backoff_base * (1 lsl (n - 1))) }
-        else begin
-          Mempool.with_lock t.n_pool (fun () ->
-              cast t ~prop ~stance:Mempool.Con ~why:("abort:" ^ e));
-          t.n_phase <- Stuck ("retries exhausted: " ^ e)
-        end
+        cast_con t ~prop:p.Mempool.p_id ~why:("abort:" ^ e);
+        t.n_phase <- Stuck ("retries exhausted: " ^ e)
       end
-
-let resolve_revert t ~prop ~(handle : J.Jvolve.handle) =
-  match handle.J.Jvolve.h_outcome with
-  | J.Jvolve.Pending -> ()
-  | J.Jvolve.Applied _ ->
-      (match
-         ( Mempool.with_lock t.n_pool (fun () -> Mempool.find t.n_pool prop),
-           t.n_applied )
-       with
-      | Some pr, Some (_, spec) ->
-          t.n_inst.Instance.i_version <- pr.Mempool.p_from_version;
-          t.n_inst.Instance.i_program <- spec.J.Spec.old_program;
-          set_epoch t (pr.Mempool.p_epoch - 1)
-      | _ -> ());
+  | Lifecycle.Lost e ->
       t.n_applied <- None;
-      Jv_obs.Obs.incr t.n_obs "gossip.reverts";
-      readmit t;
-      t.n_phase <- Idle
-  | J.Jvolve.Reverted _ | J.Jvolve.Aborted _ ->
-      (* the inverse update failed: this VM's state is not trusted *)
-      t.n_inst.Instance.i_status <- Instance.Out_of_service;
-      t.n_set_admit false;
-      t.n_phase <- Stuck "inverse update failed"
+      t.n_phase <- Stuck e
+  | Lifecycle.Guard_closed | Lifecycle.Healthy _ | Lifecycle.Unhealthy _ -> ()
 
-(* A crashed VM can never reach a safe point, so a pending update,
-   guard window, or inverse attempt on it would wedge the node forever.
-   Mark it Stuck instead: [note_stuck] then pulls it from the epoch
-   tallies and a supervisor restart rebuilds the node via [rejoin]. *)
-let wedge_if_killed t ~doing =
-  if VM.Vm.killed t.n_inst.Instance.i_vm <> None then begin
-    t.n_applied <- None;
-    t.n_inst.Instance.i_status <- Instance.Out_of_service;
-    t.n_set_admit false;
-    t.n_phase <- Stuck ("vm killed " ^ doing);
-    true
-  end
-  else false
+let drain t p ~now =
+  Lifecycle.drain t.n_life;
+  t.n_phase <-
+    Draining
+      { prop = p; until = now + t.n_cfg.nc_life.Lifecycle.drain_timeout }
 
-(* One decision step per fleet round. *)
+(* One decision step per fleet round.  A crashed VM can never reach a
+   safe point; its pending update, guard window or inverse attempt
+   resolves to [Lost] and the node goes Stuck: [note_stuck] then pulls
+   it from the epoch tallies and a supervisor restart rebuilds the node
+   via [rejoin]. *)
 let tick t ~now =
   (* fences first: a condemnation must interrupt whatever we are doing *)
-  List.iter
-    (fun (p : Mempool.proposal) -> enforce_fence t ~prop:p.Mempool.p_id ~now)
-    (newly_fenced t);
+  List.iter (enforce_fence t) (newly_fenced t);
   match t.n_phase with
   | Stuck _ -> ()
-  | Idle -> (
-      match actionable t with
-      | None -> ()
-      | Some p ->
-          t.n_inst.Instance.i_status <- Instance.Draining;
-          t.n_set_admit false;
-          t.n_phase <-
-            Draining
-              { prop = p.Mempool.p_id; until = now + t.n_cfg.nc_drain_timeout })
+  | Idle -> Option.iter (fun p -> drain t p ~now) (actionable t)
   | Draining { prop; until } ->
-      if t.n_in_flight () = 0 || now >= until then start_update t ~prop ~now
-  | Updating { prop; handle } ->
-      if wedge_if_killed t ~doing:"mid-update" then ()
-      else if J.Jvolve.resolved handle then resolve_update t ~prop ~handle ~now
-  | Guarded { prop; handle } ->
-      if wedge_if_killed t ~doing:"during guard window" then ()
-      else if not (J.Jvolve.guard_active handle) then begin
-        match handle.J.Jvolve.h_outcome with
-        | J.Jvolve.Pending -> ()
-        | J.Jvolve.Applied _ ->
-            (* clean close: the commit is final — unless the fence
-               quorum arrived between the close and this scan *)
-            if List.mem prop t.n_fenced then start_inverse t ~prop
-            else t.n_phase <- Idle
-        | J.Jvolve.Reverted v -> guard_reverted t ~prop v
-        | J.Jvolve.Aborted a ->
-            (* trip whose in-VM revert rolled forward: not trusted *)
-            Mempool.with_lock t.n_pool (fun () ->
-                cast t ~prop ~stance:Mempool.Con
-                  ~why:
-                    (Mempool.trip_prefix ^ "revert-failed:"
-                   ^ J.Updater.abort_to_string a));
-            t.n_inst.Instance.i_status <- Instance.Out_of_service;
-            t.n_set_admit false;
-            t.n_phase <- Stuck "guard revert failed"
-      end
-  | Reverting { prop; handle } ->
-      if wedge_if_killed t ~doing:"mid-revert" then ()
-      else if J.Jvolve.resolved handle then resolve_revert t ~prop ~handle
-  | Backoff { prop; until } ->
-      if now >= until then begin
-        t.n_inst.Instance.i_status <- Instance.Draining;
-        t.n_set_admit false;
-        t.n_phase <- Draining { prop; until = now + t.n_cfg.nc_drain_timeout }
-      end
+      if Lifecycle.in_flight t.n_life = 0 || now >= until then
+        start_update t prop
+  | Updating { prop; op } ->
+      Option.iter (resolve_update t prop op ~now) (Lifecycle.step t.n_life op)
+  | Guarded { prop; op } -> (
+      match Lifecycle.step t.n_life op with
+      | Some Lifecycle.Guard_closed ->
+          (* the commit is final — unless the fence quorum arrived
+             between the close and this scan *)
+          if fenced t prop then undo t prop op else t.n_phase <- Idle
+      | Some (Lifecycle.Tripped v) -> guard_reverted t prop v
+      | Some (Lifecycle.Lost why) ->
+          (* a killed VM just wedges; a trip whose in-VM revert rolled
+             forward is published as a trip vote: not trusted *)
+          t.n_applied <- None;
+          if not (Lifecycle.killed t.n_life) then
+            cast_con t ~prop:prop.Mempool.p_id ~why:(Mempool.trip_prefix ^ why);
+          t.n_phase <- Stuck why
+      | _ -> ())
+  | Reverting { prop; op } -> (
+      match Lifecycle.step t.n_life op with
+      | None -> ()
+      | Some Lifecycle.Applied ->
+          set_epoch t (prop.Mempool.p_epoch - 1);
+          t.n_applied <- None;
+          Jv_obs.Obs.incr t.n_obs "gossip.reverts";
+          Lifecycle.serve t.n_life;
+          t.n_phase <- Idle
+      | Some _ ->
+          (* the inverse update failed: this VM's state is not trusted *)
+          Lifecycle.take_out t.n_life;
+          t.n_phase <- Stuck "inverse update failed")
+  | Backoff { prop; until } -> if now >= until then drain t prop ~now

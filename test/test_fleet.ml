@@ -176,6 +176,41 @@ let test_rollback_on_failed_health_check () =
     (List.length r.F.Orchestrator.r_rollback_failed);
   check_no_leaked_conns fleet
 
+(* A forward spec that cannot even be prepared (instance 1's custom
+   transformer source does not compile) is a clean abort like any other:
+   with no retries under the default [`Halt] it halts the rollout, the
+   already-updated instance reverts, and every instance ends up back in
+   service on the old version. *)
+let test_rollback_on_prepare_error () =
+  let fleet = boot_under_load ~size:3 () in
+  let mutate_spec id spec =
+    if id = 1 then
+      { spec with J.Spec.transformer_src = Some "class JvolveTransformers {" }
+    else spec
+  in
+  let r =
+    F.Orchestrator.run ~mutate_spec ~params:(rolling_params ()) ~fleet
+      ~to_version:"5.1.2" ()
+  in
+  Alcotest.(check bool) "rollout halted" false r.F.Orchestrator.r_ok;
+  Alcotest.(check (list int)) "aborted on the unpreparable instance" [ 1 ]
+    (List.map fst r.F.Orchestrator.r_aborted);
+  List.iter
+    (fun (i : F.Instance.t) ->
+      Alcotest.(check string)
+        (Printf.sprintf "instance %d in service" i.F.Instance.i_id)
+        "in-service"
+        (F.Instance.status_to_string i.F.Instance.i_status);
+      Alcotest.(check bool)
+        (Printf.sprintf "instance %d admitted" i.F.Instance.i_id)
+        true
+        (F.Lb.admitting (F.Fleet.lb fleet) ~id:i.F.Instance.i_id))
+    (F.Fleet.instances fleet);
+  Alcotest.(check (option string)) "fleet back on the old version"
+    (Some "5.1.1")
+    (F.Fleet.uniform_version fleet);
+  check_no_leaked_conns fleet
+
 (* --- health probes across apps ----------------------------------------- *)
 
 let test_health_probes_all_apps () =
@@ -298,6 +333,8 @@ let suite =
       test_rollback_on_update_abort;
     Alcotest.test_case "rollback: failed health check" `Quick
       test_rollback_on_failed_health_check;
+    Alcotest.test_case "rollback: forward spec fails to prepare" `Quick
+      test_rollback_on_prepare_error;
     Alcotest.test_case "health probes answer on every app" `Quick
       test_health_probes_all_apps;
     Alcotest.test_case "lossy links do not wedge the driver" `Quick

@@ -213,6 +213,40 @@ let test_guard_trip_quorum_revert () =
   Alcotest.(check int) "no dropped connections" 0
     (F.Fleet.dropped_in_flight fleet)
 
+(* --- backoff and retry ---------------------------------------------------- *)
+
+(* One injected transformer fault: the node that draws it aborts cleanly,
+   serves the old version through its backoff, retries on its own and
+   lands with the rest — every VM applies exactly once. *)
+let test_abort_backs_off_and_retries () =
+  let fleet = boot_fleet ~size:4 () in
+  let plan =
+    match Faults.parse ~seed:42 "updater.transform=raise x1" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "bad plan: %s" e
+  in
+  F.Fleet.set_faults fleet (Some plan);
+  let g = G.Gossip.create ~params:test_params ~fleet () in
+  ignore (G.Gossip.propose g ~origin:0 ~to_version:"5.1.2");
+  let rounds = G.Gossip.run g ~max_rounds:3_000 () in
+  let r = G.Gossip.report g ~rounds in
+  let counter name (i : F.Instance.t) =
+    Jv_obs.Obs.counter_value (Jv_vm.Vm.obs i.F.Instance.i_vm) name
+  in
+  let insts = F.Fleet.instances fleet in
+  Alcotest.(check int) "the plan fired once" 1 (Faults.fired plan);
+  Alcotest.(check int) "exactly one VM aborted once" 1
+    (List.length
+       (List.filter (fun i -> counter "core.update.aborted" i = 1) insts));
+  Alcotest.(check (list int)) "every VM applied once" [ 1; 1; 1; 1 ]
+    (List.map (counter "core.update.applied") insts);
+  Alcotest.(check bool) "converged" true r.G.Gossip.gr_converged;
+  Alcotest.(check (option int)) "on epoch 1" (Some 1) r.G.Gossip.gr_epoch;
+  Alcotest.(check (list int)) "nothing stuck" [] r.G.Gossip.gr_stuck;
+  Alcotest.(check (option string)) "uniform on the new version"
+    (Some "5.1.2")
+    (F.Fleet.uniform_version fleet)
+
 (* --- properties --------------------------------------------------------- *)
 
 (* One full decentralized rollout under a random chaos schedule on the
@@ -333,6 +367,8 @@ let suite =
       test_quorum_counts_only_pro;
     Alcotest.test_case "fence: guard trip reverts the fleet by quorum" `Slow
       test_guard_trip_quorum_revert;
+    Alcotest.test_case "retry: a clean abort backs off and lands" `Slow
+      test_abort_backs_off_and_retries;
     Alcotest.test_case "partition: no quorum across, converges after heal"
       `Slow test_partition_heals_and_converges;
     QCheck_alcotest.to_alcotest prop_convergence_under_chaos;

@@ -9,10 +9,10 @@
    - the final [Orchestrator.pp_result] or [Gossip.pp_report] line.
 
    Any change to when an instance drains, updates, reverts, is probed,
-   readmitted or quarantined shows up here.  To re-record the goldens
-   after an intended behaviour change, run the suite with
-   JVOLVE_WRITE_TRANSCRIPTS set to the test/transcripts directory and
-   list the change in CHANGES.md. *)
+   readmitted or quarantined shows up here.  A failing case writes its
+   whole transcript next to the test binary as NAME.actual; after an
+   intended behaviour change, copy it over the golden and list the change
+   in CHANGES.md. *)
 
 module F = Jv_fleet
 module G = Jv_gossip
@@ -221,7 +221,9 @@ let run_gossip ?(params = gossip_params) ~origin ~to_version fleet =
   in
   record r;
   ignore (G.Gossip.propose g ~origin ~to_version);
-  let rounds = G.Gossip.run g ~on_round:(fun _ -> record r) ~max_rounds:8_000 () in
+  let rounds =
+    G.Gossip.run g ~on_round:(fun _ -> record r) ~max_rounds:8_000 ()
+  in
   finish r (Fmt.str "%a" G.Gossip.pp_report (G.Gossip.report g ~rounds))
 
 (* 4. A gossip rollout of the bad release: the guard trip fences it by
@@ -265,16 +267,16 @@ let first_difference a b =
 
 let check_golden name scenario () =
   let actual = scenario () in
-  let file = name ^ ".txt" in
-  match Sys.getenv_opt "JVOLVE_WRITE_TRANSCRIPTS" with
-  | Some dir -> write_file (Filename.concat dir file) actual
-  | None ->
-      let expected = read_file (Filename.concat "transcripts" file) in
-      if actual <> expected then begin
-        let line, want, got = first_difference expected actual in
-        Alcotest.failf "%s differs at line %d:\n  golden: %s\n  actual: %s"
-          file line want got
-      end
+  let golden = Filename.concat "transcripts" (name ^ ".txt") in
+  let expected = read_file golden in
+  if actual <> expected then begin
+    let dump = Filename.concat (Sys.getcwd ()) (name ^ ".actual") in
+    write_file dump actual;
+    let line, want, got = first_difference expected actual in
+    Alcotest.failf
+      "%s differs at line %d (whole run in %s):\n  golden: %s\n  actual: %s"
+      golden line dump want got
+  end
 
 let suite =
   [
