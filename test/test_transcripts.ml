@@ -1,4 +1,4 @@
-(* Pinned fleet transcripts: five seeded rollouts replayed round by round
+(* Pinned fleet transcripts: six seeded rollouts replayed round by round
    and compared byte for byte against the goldens in test/transcripts/.
 
    A transcript holds, in order of occurrence:
@@ -6,6 +6,8 @@
      Float fields dropped (they carry host time);
    - one "state" line for each round in which any instance's (version,
      status, LB admission, killed, gossip epoch) changed;
+   - for the lossy gossip run, one "net" line for each round in which the
+     control plane's push, reconciliation, refusal or byte counters moved;
    - the final [Orchestrator.pp_result] or [Gossip.pp_report] line.
 
    Any change to when an instance drains, updates, reverts, is probed,
@@ -24,9 +26,9 @@ module Faults = Jv_faults.Faults
 let fleet_config =
   { Jv_vm.State.default_config with Jv_vm.State.heap_words = 1 lsl 18 }
 
-let boot ?(load = true) ~size ~version () =
+let boot ?(config = fleet_config) ?(load = true) ~size ~version () =
   let fleet =
-    F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin
+    F.Fleet.create ~config ~policy:F.Lb.Round_robin
       ~profile:F.Profile.miniweb ~version ~size ()
   in
   F.Fleet.run fleet ~rounds:30;
@@ -44,13 +46,23 @@ let plan ~seed spec =
 type recorder = {
   fleet : F.Fleet.t;
   epoch : int -> string; (* gossip epoch of an instance, "-" without gossip *)
+  net : string list; (* fleet-sink counters whose per-round moves are kept *)
   buf : Buffer.t;
   mutable next_seq : int; (* first fleet-sink event not yet recorded *)
   mutable last_state : string;
+  mutable last_net : int list;
 }
 
-let recorder ?(epoch = fun _ -> "-") fleet =
-  { fleet; epoch; buf = Buffer.create 4096; next_seq = 0; last_state = "" }
+let recorder ?(epoch = fun _ -> "-") ?(net = []) fleet =
+  {
+    fleet;
+    epoch;
+    net;
+    buf = Buffer.create 4096;
+    next_seq = 0;
+    last_state = "";
+    last_net = List.map (fun _ -> 0) net;
+  }
 
 let field (k, v) =
   match v with
@@ -91,6 +103,17 @@ let record r =
     r.last_state <- s;
     Buffer.add_string r.buf
       (Printf.sprintf "[%d] state %s\n" (F.Fleet.ticks r.fleet) s)
+  end;
+  let now = List.map (Obs.counter_value (F.Fleet.obs r.fleet)) r.net in
+  if now <> r.last_net then begin
+    Buffer.add_string r.buf
+      (Printf.sprintf "[%d] net %s\n" (F.Fleet.ticks r.fleet)
+         (String.concat " "
+            (List.map2
+               (fun name (n, old) -> Printf.sprintf "%s+%d" name (n - old))
+               r.net
+               (List.combine now r.last_net))));
+    r.last_net <- now
   end
 
 let finish r line =
@@ -212,10 +235,11 @@ let gossip_params =
     g_update_timeout = 200;
   }
 
-let run_gossip ?(params = gossip_params) ~origin ~to_version fleet =
-  let g = G.Gossip.create ~params ~fleet () in
+let run_gossip ?chaos ?net ?(params = gossip_params) ~origin ~to_version
+    fleet =
+  let g = G.Gossip.create ?chaos ~params ~fleet () in
   let r =
-    recorder
+    recorder ?net
       ~epoch:(fun id -> string_of_int (G.Node.epoch (G.Gossip.node g id)))
       fleet
   in
@@ -240,6 +264,26 @@ let gossip_retry () =
   let fleet = boot ~load:false ~size:4 ~version:"5.1.1" () in
   F.Fleet.set_faults fleet (Some (plan ~seed:42 "updater.transform=raise x1"));
   run_gossip ~origin:0 ~to_version:"5.1.2" fleet
+
+(* 6. A 32-node rollout over a control plane that drops 10% of its
+   packets: lost pushes are repaired by DIGEST/WANT reconciliation, so
+   every digest answer, push and byte on the wire is pinned per round. *)
+let gossip_drop () =
+  let config =
+    { Jv_vm.State.default_config with Jv_vm.State.heap_words = 1 lsl 16 }
+  in
+  let fleet = boot ~config ~size:32 ~version:"5.1.1" () in
+  run_gossip
+    ~chaos:(plan ~seed:7 "net.link=drop@0.10")
+    ~net:
+      [
+        "gossip.pushes";
+        "gossip.digest_reconciliations";
+        "gossip.push_refused";
+        "gossip.digest_refused";
+        "gossip.rumor_bytes";
+      ]
+    ~origin:0 ~to_version:"5.1.2" fleet
 
 (* --- golden comparison -------------------------------------------------- *)
 
@@ -291,4 +335,6 @@ let suite =
       (check_golden "gossip_guard_fence" gossip_fence);
     Alcotest.test_case "gossip: transformer fault, backoff, retry" `Quick
       (check_golden "gossip_retry" gossip_retry);
+    Alcotest.test_case "gossip: 10% control drop, reconciliation" `Quick
+      (check_golden "gossip_drop" gossip_drop);
   ]
