@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke clean
+.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke perfbench-selftest clean
 
 all:
 	dune build @all
@@ -120,6 +120,12 @@ heal-smoke:
 	grep -q "pre-crash records served bit-for-bit after recovery" _build/heal-smoke.out
 	grep -q "byte-identical across runs" _build/heal-smoke.out
 	! grep -q "FAIL" _build/heal-smoke.out
+
+# Benchmark harness self-test: the statistics conventions (percentile,
+# median and quartile rules, failed_frac), the JSON result shape, and
+# that BENCHMARK.json, perfbench/manifest.json and the program agree.
+perfbench-selftest:
+	python3 perfbench/run.py --self-test
 
 clean:
 	dune clean

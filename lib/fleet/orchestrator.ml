@@ -499,23 +499,23 @@ let begin_rollback t ~why =
     | [] -> []
     | ids -> [ wave (List.sort compare ids) ])
 
-(* A supervisor may recover a quarantined instance mid-rollout, after
-   its wave has already passed: In_service again, but still on the old
-   version.  Sweep such stragglers into one more wave through the
-   normal pipeline rather than finishing with a split fleet.
-   (Recoveries that complete after the rollout are covered by the
-   supervisor's own ladder catch-up, which by then targets the updated
-   plurality.) *)
+(* Instances serving a version other than the target once the planned
+   waves are done: a quarantined instance the supervisor recovered after
+   its wave passed, or an updated one that was killed and restarted —
+   the supervisor catches a restart up to the plurality version, which
+   mid-rollout may still be the old one.  Sweep them into one more wave
+   through the normal pipeline rather than finishing with a split fleet;
+   a swept instance no longer counts as updated until it applies again.
+   Only an unfenced forward rollout sweeps.  (Recoveries that complete
+   after the rollout are covered by the supervisor's own ladder
+   catch-up, which by then targets the updated plurality.) *)
 let stragglers t =
   if t.direction <> Forward || t.fence <> None then []
   else
     List.filter_map
       (fun (i : Instance.t) ->
-        if
-          Instance.serving i
-          && i.Instance.i_version <> t.to_version
-          && not (List.mem i.Instance.i_id t.updated)
-        then Some i.Instance.i_id
+        if Instance.serving i && i.Instance.i_version <> t.to_version then
+          Some i.Instance.i_id
         else None)
       (Fleet.instances t.fleet)
 
@@ -526,7 +526,9 @@ let next_wave t =
   | [] -> (
       match stragglers t with
       | [] -> finish t
-      | ids -> start_wave t (wave (List.sort compare ids)))
+      | ids ->
+          t.updated <- List.filter (fun id -> not (List.mem id ids)) t.updated;
+          start_wave t (wave (List.sort compare ids)))
   | w :: rest ->
       t.waves <- rest;
       start_wave t w

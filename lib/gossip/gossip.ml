@@ -94,6 +94,8 @@ type t = {
   counted : bool array; (* node still in the convergence tally *)
   mutable mixed_window : int;
   mutable last_net_bytes : int;
+  mutable synced_at : (int * bool) option;
+      (* pools' generation sum at the last exact sync check, and its answer *)
 }
 
 let obs t = F.Fleet.obs t.fleet
@@ -185,6 +187,7 @@ let create ?chaos ?(params = default_params) ~fleet () =
       counted = Array.make n true;
       mixed_window = 0;
       last_net_bytes = 0;
+      synced_at = None;
     }
   in
   Hashtbl.replace t.epoch_counts 0 n;
@@ -266,14 +269,14 @@ let answer_want (ps : peer_state) keys ~send =
    answering digests in place. *)
 let serve t (ps : peer_state) =
   (* accept everything pending *)
-  let rec accept_all () =
+  let rec accept_all acc =
     match Simnet.accept t.net ~listener_id:ps.ps_listener with
-    | None -> ()
-    | Some cid ->
-        ps.ps_sconns <- ps.ps_sconns @ [ cid ];
-        accept_all ()
+    | None -> acc
+    | Some cid -> accept_all (cid :: acc)
   in
-  accept_all ();
+  (match accept_all [] with
+  | [] -> ()
+  | fresh -> ps.ps_sconns <- ps.ps_sconns @ List.rev fresh);
   let handle_line cid line =
     match Wire.decode line with
     | Error _ -> Obs.incr (obs t) "gossip.bad_lines"
@@ -283,13 +286,7 @@ let serve t (ps : peer_state) =
           Mempool.with_lock (Node.pool ps.ps_node) (fun () ->
               let pool = Node.pool ps.ps_node in
               let props, votes = Mempool.missing_from pool ~remote_keys:d_keys in
-              let ours = Mempool.keys pool in
-              let mine = Hashtbl.create 32 in
-              List.iter (fun k -> Hashtbl.replace mine k ()) ours;
-              let want =
-                List.filter (fun k -> not (Hashtbl.mem mine k)) d_keys
-              in
-              (props, votes, want))
+              (props, votes, Mempool.wanted pool ~remote_keys:d_keys))
         in
         if missing_props <> [] || missing_votes <> [] || want <> [] then
           Obs.incr (obs t) "gossip.digest_reconciliations";
@@ -456,6 +453,8 @@ let rejoin t id =
   count_epoch t ~old_epoch ~new_epoch:(Some epoch);
   t.counted.(id) <- true;
   ps.ps_node <- node_for t ~id ~epoch;
+  (* a fresh pool restarts its generation: the cached sync answer is void *)
+  t.synced_at <- None;
   ps.ps_hot <- [];
   List.iter
     (fun (cid, _) -> Simnet.client_close t.net ~conn_id:cid)
@@ -490,14 +489,17 @@ let step t =
   Array.iter (fun ps -> pump_digests t ps) t.peers;
   Array.iter (fun ps -> Node.tick ps.ps_node ~now) t.peers;
   note_stuck t;
-  Array.iteri
-    (fun _ ps ->
-      List.iter
-        (fun m ->
+  Array.iter
+    (fun ps ->
+      match Node.take_out ps.ps_node with
+      | [] -> ()
+      | out ->
           ps.ps_hot <-
             ps.ps_hot
-            @ [ { h_line = Wire.encode m; h_ttl = t.params.g_rumor_rounds } ])
-        (Node.take_out ps.ps_node))
+            @ List.map
+                (fun m ->
+                  { h_line = Wire.encode m; h_ttl = t.params.g_rumor_rounds })
+                out)
     t.peers;
   (* Anti-entropy runs only while there is something to reconcile:
      once every node settled on one epoch with no hot rumors left AND
@@ -507,27 +509,40 @@ let step t =
      check is what keeps a partitioned minority reachable: its nodes
      are settled on the old epoch with their rumors expired, but their
      pools lag, so digests keep flowing and the pull half rescues them
-     after the heal.  The expensive comparison only runs once the
-     cheap settled/uniform/no-hot prefix holds — i.e. at most a
-     handful of rounds before [run] exits. *)
+     after the heal.  The settled/uniform/no-hot prefix holds in most
+     rounds of a rollout (every round between the apply wave and the
+     end, and every round a partition keeps a minority behind), so the
+     exact comparison is gated: pool generations only grow, so an
+     unchanged sum of them means no pool changed since the last exact
+     answer, which then still holds ([rejoin] voids it, as a fresh pool
+     starts its generation over). *)
   let pools_synced () =
-    let n = Array.length t.peers in
-    n = 0
-    ||
-    let pool0 = Node.pool t.peers.(0).ps_node in
-    let size0, keys0 =
-      Mempool.with_lock pool0 (fun () ->
-          (Mempool.size pool0, Mempool.keys pool0))
+    let generations =
+      Array.fold_left
+        (fun acc ps ->
+          let pool = Node.pool ps.ps_node in
+          acc + Mempool.with_lock pool (fun () -> Mempool.generation pool))
+        0 t.peers
     in
-    let set0 = Hashtbl.create (max 16 size0) in
-    List.iter (fun k -> Hashtbl.replace set0 k ()) keys0;
-    Array.for_all
-      (fun ps ->
-        let pool = Node.pool ps.ps_node in
-        Mempool.with_lock pool (fun () ->
-            Mempool.size pool = size0
-            && List.for_all (Hashtbl.mem set0) (Mempool.keys pool)))
-      t.peers
+    match t.synced_at with
+    | Some (g, synced) when g = generations -> synced
+    | _ ->
+        let synced =
+          Array.length t.peers = 0
+          ||
+          let pool0 = Node.pool t.peers.(0).ps_node in
+          Mempool.with_lock pool0 (fun () ->
+              Array.for_all
+                (fun ps ->
+                  let pool = Node.pool ps.ps_node in
+                  (* pool0 is locked already, and trivially equal *)
+                  pool == pool0
+                  || Mempool.with_lock pool (fun () ->
+                         Mempool.same_items pool0 pool))
+                t.peers)
+        in
+        t.synced_at <- Some (generations, synced);
+        synced
   in
   let quiet =
     Hashtbl.length t.epoch_counts = 1

@@ -48,6 +48,9 @@ type t = {
   mutable space : int array; (* active (to-)space *)
   mutable other : int array; (* idle (from-)space after a flip *)
   mutable free : int; (* next free word in [space] *)
+  mutable other_used : int;
+      (* words of [other] written since it was last zeroed: its extent
+         when it was the active space *)
   size_words : int; (* per semi-space *)
   mutable gc_count : int;
   mutable allocations : int; (* objects allocated since creation *)
@@ -62,6 +65,7 @@ let create ~words =
     space = Array.make words 0;
     other = Array.make words 0;
     free = 1 (* keep address 0 unused: 0 is null *);
+    other_used = 0;
     size_words = words;
     gc_count = 0;
     allocations = 0;
@@ -98,11 +102,14 @@ let flip h =
   let from = h.space in
   h.space <- h.other;
   h.other <- from;
+  h.other_used <- h.free;
   h.free <- 1;
   h.gc_count <- h.gc_count + 1;
   from
 
 (* After a collection the old from-space contents are dead; zero it so the
    next flip starts from a clean space (keeps default-initialization
-   guarantees). *)
-let scrub_other h = Array.fill h.other 0 (Array.length h.other) 0
+   guarantees).  Only its used extent: nothing writes at or above [free],
+   so the words past it are still zero from the previous scrub, and a
+   collection costs what the heap used, not its size. *)
+let scrub_other h = Array.fill h.other 0 h.other_used 0

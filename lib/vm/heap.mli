@@ -34,6 +34,8 @@ type t = {
   mutable space : int array;  (** active (to-)space *)
   mutable other : int array;  (** idle (from-)space after a flip *)
   mutable free : int;  (** next free word in [space] *)
+  mutable other_used : int;
+      (** words of [other] written since it was last zeroed *)
   size_words : int;  (** per semi-space *)
   mutable gc_count : int;
   mutable allocations : int;
@@ -59,5 +61,5 @@ val flip : t -> int array
 (** Swap spaces for a collection; returns the new from-space. *)
 
 val scrub_other : t -> unit
-(** Zero the idle space after a collection (keeps the pre-zeroed
-    allocation guarantee). *)
+(** Zero the idle space's used extent after a collection (keeps the
+    pre-zeroed allocation guarantee: nothing writes at or above [free]). *)

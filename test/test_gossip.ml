@@ -81,10 +81,24 @@ let test_mempool_con_sticky () =
 
 let test_mempool_lock_discipline () =
   let m = G.Mempool.create () in
-  Alcotest.check_raises "mutation outside the lock" G.Mempool.Not_locked
-    (fun () -> ignore (G.Mempool.add_proposal m (prop "a")));
-  Alcotest.check_raises "read outside the lock" G.Mempool.Not_locked
-    (fun () -> ignore (G.Mempool.proposals m));
+  let other = G.Mempool.create () in
+  let outside what f =
+    Alcotest.check_raises (what ^ " outside the lock") G.Mempool.Not_locked
+      (fun () -> ignore (f ()))
+  in
+  outside "add_proposal" (fun () -> G.Mempool.add_proposal m (prop "a"));
+  outside "add_vote" (fun () -> G.Mempool.add_vote m (vote ~voter:1 "a"));
+  outside "proposals" (fun () -> G.Mempool.proposals m);
+  outside "tally" (fun () -> G.Mempool.tally m ~prop:"a");
+  outside "votes" (fun () -> G.Mempool.votes m ~prop:"a");
+  outside "keys" (fun () -> G.Mempool.keys m);
+  outside "missing_from" (fun () -> G.Mempool.missing_from m ~remote_keys:[]);
+  outside "wanted" (fun () -> G.Mempool.wanted m ~remote_keys:[]);
+  outside "size" (fun () -> G.Mempool.size m);
+  outside "generation" (fun () -> G.Mempool.generation m);
+  (* comparing two pools needs both locks *)
+  G.Mempool.with_lock m (fun () ->
+      outside "same_items" (fun () -> G.Mempool.same_items m other));
   G.Mempool.with_lock m (fun () ->
       Alcotest.check_raises "with_lock is non-reentrant"
         (Invalid_argument "Mempool.with_lock: non-reentrant") (fun () ->
@@ -94,6 +108,174 @@ let test_mempool_lock_discipline () =
   G.Mempool.with_lock m (fun () ->
       Alcotest.(check int) "lock released after an exception" 0
         (G.Mempool.size m))
+
+(* --- mempool against a naive model -------------------------------------- *)
+
+(* The reference: plain insertion-order lists, every read a full scan —
+   the pool as it was before it kept running tallies and key indexes. *)
+module Model = struct
+  type t = {
+    mutable props : G.Mempool.proposal list;
+    mutable votes : G.Mempool.vote list; (* one per (proposal, voter) *)
+  }
+
+  let create () = { props = []; votes = [] }
+
+  let add_proposal m (p : G.Mempool.proposal) =
+    if List.exists (fun (q : G.Mempool.proposal) -> q.p_id = p.p_id) m.props
+    then `Duplicate
+    else begin
+      m.props <- m.props @ [ p ];
+      `Fresh
+    end
+
+  let same_slot (a : G.Mempool.vote) (b : G.Mempool.vote) =
+    a.v_prop = b.v_prop && a.v_voter = b.v_voter
+
+  let add_vote m (v : G.Mempool.vote) =
+    match List.find_opt (same_slot v) m.votes with
+    | None ->
+        m.votes <- m.votes @ [ v ];
+        `Fresh
+    | Some old when old.v_stance = G.Mempool.Pro && v.v_stance = G.Mempool.Con
+      ->
+        m.votes <- List.map (fun o -> if same_slot v o then v else o) m.votes;
+        `Hardened
+    | Some _ -> `Stale
+
+  let votes m ~prop =
+    List.filter (fun (v : G.Mempool.vote) -> v.v_prop = prop) m.votes
+
+  let tally m ~prop =
+    List.fold_left
+      (fun (pro, con, trip) (v : G.Mempool.vote) ->
+        match v.v_stance with
+        | G.Mempool.Pro -> (pro + 1, con, trip)
+        | G.Mempool.Con ->
+            let is_trip =
+              String.length v.v_why >= 5 && String.sub v.v_why 0 5 = "trip:"
+            in
+            (pro, con + 1, if is_trip then trip + 1 else trip))
+      (0, 0, 0) (votes m ~prop)
+
+  let prop_key (p : G.Mempool.proposal) = "P:" ^ p.p_id
+
+  let vote_key (v : G.Mempool.vote) =
+    Printf.sprintf "V:%s:%d:%s" v.v_prop v.v_voter
+      (if v.v_stance = G.Mempool.Pro then "P" else "C")
+
+  let keys m = List.map prop_key m.props @ List.map vote_key m.votes
+
+  let missing_from m ~remote_keys =
+    ( List.filter (fun p -> not (List.mem (prop_key p) remote_keys)) m.props,
+      List.filter (fun v -> not (List.mem (vote_key v) remote_keys)) m.votes )
+
+  let size m = List.length m.props + List.length m.votes
+  let same_items a b = List.sort compare (keys a) = List.sort compare (keys b)
+end
+
+type mop = Op_prop of string | Op_vote of G.Mempool.vote
+
+(* "z" never gets a proposal: its votes stay orphans *)
+let gen_mop =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map (fun id -> Op_prop id) (oneofl [ "a"; "b"; "c" ]));
+      ( 5,
+        map
+          (fun (((p, voter), stance), why) ->
+            let stance, why =
+              match (stance, why) with
+              | `Pro, _ -> (G.Mempool.Pro, "ok")
+              | `Con, `Trip -> (G.Mempool.Con, "trip:app-errors")
+              | `Con, `Other -> (G.Mempool.Con, "base-mismatch:5.1.0@e0")
+            in
+            Op_vote (vote ~stance ~why ~voter p))
+          (pair
+             (pair
+                (pair (oneofl [ "a"; "b"; "c"; "z" ]) (int_bound 4))
+                (oneofl [ `Pro; `Con ]))
+             (oneofl [ `Trip; `Other ])) );
+    ]
+
+let show_mop = function
+  | Op_prop id -> "prop " ^ id
+  | Op_vote v ->
+      Printf.sprintf "vote %s/%d %s %s" v.G.Mempool.v_prop v.G.Mempool.v_voter
+        (if v.G.Mempool.v_stance = G.Mempool.Pro then "pro" else "con")
+        v.G.Mempool.v_why
+
+let arb_mempool_run =
+  QCheck.make
+    ~print:(fun (ops, k, seed) ->
+      Printf.sprintf "k=%d seed=%d [%s]" k seed
+        (String.concat "; " (List.map show_mop ops)))
+    QCheck.Gen.(
+      triple (list_size (int_bound 40) gen_mop) (int_bound 4) (int_bound 1000))
+
+(* Apply [ops] to both pools, checking each answer and that the pool's
+   generation moves exactly when an item is fresh or hardened. *)
+let replay pool model ops =
+  List.for_all
+    (fun op ->
+      let g0 = G.Mempool.generation pool in
+      let agrees, changed =
+        match op with
+        | Op_prop id ->
+            let p = prop id in
+            let a = G.Mempool.add_proposal pool p in
+            (a = Model.add_proposal model p, a = `Fresh)
+        | Op_vote v ->
+            let a = G.Mempool.add_vote pool v in
+            (a = Model.add_vote model v, a <> `Stale)
+      in
+      agrees && G.Mempool.generation pool <> g0 = changed)
+    ops
+
+let prop_mempool_matches_model =
+  QCheck.Test.make ~name:"mempool matches a naive list model" ~count:300
+    arb_mempool_run (fun (ops, k, seed) ->
+      let pool = G.Mempool.create () and model = Model.create () in
+      G.Mempool.with_lock pool (fun () ->
+          let replayed = replay pool model ops in
+          let keys = Model.keys model in
+          (* the remote holds every (k+2)th key dropped, plus one we lack *)
+          let remote_keys =
+            List.filteri (fun i _ -> i mod (k + 2) <> 0) keys
+            @ [ "V:nope:9:P" ]
+          in
+          let ids = [ "a"; "b"; "c"; "z" ] in
+          replayed
+          && List.for_all
+               (fun prop ->
+                 G.Mempool.tally pool ~prop = Model.tally model ~prop
+                 && G.Mempool.votes pool ~prop = Model.votes model ~prop)
+               ids
+          && G.Mempool.proposals pool = model.Model.props
+          && G.Mempool.keys pool = keys
+          && G.Mempool.missing_from pool ~remote_keys
+             = Model.missing_from model ~remote_keys
+          && G.Mempool.wanted pool ~remote_keys
+             = List.filter (fun k -> not (List.mem k keys)) remote_keys
+          && G.Mempool.size pool = Model.size model
+          &&
+          (* a second pool fed a shuffled, maybe shortened copy: the sync
+             check must agree with comparing the model's key sets *)
+          let rng = Random.State.make [| seed |] in
+          let shuffled =
+            List.map (fun op -> (Random.State.bits rng, op)) ops
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+            |> List.map snd
+            |> List.filteri (fun i _ -> i < List.length ops - (seed mod 3))
+          in
+          let pool2 = G.Mempool.create () and model2 = Model.create () in
+          G.Mempool.with_lock pool2 (fun () ->
+              replay pool2 model2 shuffled
+              && G.Mempool.same_items pool pool2
+                 = Model.same_items model model2
+              && G.Mempool.same_items pool2 pool
+                 = Model.same_items model2 model)))
 
 (* --- wire codec --------------------------------------------------------- *)
 
@@ -352,6 +534,42 @@ let test_partition_heals_and_converges () =
   Alcotest.(check bool) "anti-entropy did real work" true
     (r.G.Gossip.gr_digest_recons > 0)
 
+(* The quiet check trusts a cached sync answer only while no pool has
+   changed.  An idle fleet is quiet (every pool empty); once a proposal
+   reaches only one side of a partition, the fleet is settled on epoch 0
+   with its rumors expired, yet its pools differ — digests must keep
+   flowing so the heal pulls the other side in. *)
+let test_quiet_recheck_after_pools_change () =
+  let fleet = boot_fleet ~size:4 () in
+  let g = G.Gossip.create ~params:test_params ~fleet () in
+  for _ = 1 to 20 do
+    G.Gossip.step g
+  done;
+  let net = g.G.Gossip.net in
+  let port id = G.Gossip.default_base_port + id in
+  Jv_simnet.Simnet.set_partition net
+    ~groups:[ [ port 0; port 1 ]; [ port 2; port 3 ] ];
+  ignore (G.Gossip.propose g ~origin:0 ~to_version:"5.1.2");
+  for _ = 1 to 100 do
+    G.Gossip.step g
+  done;
+  (* every digest that crosses the partition is refused *)
+  let refused () =
+    Jv_obs.Obs.counter_value (F.Fleet.obs fleet) "gossip.digest_refused"
+  in
+  let before = refused () in
+  for _ = 1 to 40 do
+    G.Gossip.step g
+  done;
+  Alcotest.(check bool) "settled fleet with unequal pools keeps digesting"
+    true
+    (refused () > before);
+  Jv_simnet.Simnet.heal net;
+  let rounds = G.Gossip.run g ~max_rounds:4_000 () in
+  let r = G.Gossip.report g ~rounds in
+  Alcotest.(check (option int)) "converged on the new epoch" (Some 1)
+    r.G.Gossip.gr_epoch
+
 let suite =
   [
     Alcotest.test_case "mempool: dedup of proposals and votes" `Quick
@@ -360,6 +578,7 @@ let suite =
       test_mempool_con_sticky;
     Alcotest.test_case "mempool: lock discipline" `Quick
       test_mempool_lock_discipline;
+    QCheck_alcotest.to_alcotest prop_mempool_matches_model;
     Alcotest.test_case "wire: codec round-trips" `Quick test_wire_roundtrip;
     Alcotest.test_case "quorum: fleet applies at ceil(qN) pro votes" `Slow
       test_quorum_apply_and_convergence;
@@ -371,6 +590,8 @@ let suite =
       test_abort_backs_off_and_retries;
     Alcotest.test_case "partition: no quorum across, converges after heal"
       `Slow test_partition_heals_and_converges;
+    Alcotest.test_case "quiet: changed pools are re-compared" `Slow
+      test_quiet_recheck_after_pools_change;
     QCheck_alcotest.to_alcotest prop_convergence_under_chaos;
     QCheck_alcotest.to_alcotest prop_seed_determinism;
   ]

@@ -11,6 +11,10 @@
    - mid-guard-window crash: the watchdog force-closes the window,
      fences the rollout, survivors revert, and the restarted instance
      catches up to the *reverted* epoch, not the suspect one;
+   - crash after the update: an instance killed once it already serves
+     the new version is caught up to the old plurality by its restart,
+     and the rollout sweeps it forward again instead of finishing with a
+     split fleet;
    - property: any seeded kill schedule on a ministore fleet converges
      back to N alive on one version, with every store bit-for-bit equal
      to a never-killed control fleet. *)
@@ -158,6 +162,37 @@ let test_mid_update_crash_reconciled () =
     (Some "5.1.2")
     (F.Fleet.uniform_version fleet);
   Alcotest.(check int) "full strength" 3 (F.Supervisor.alive sup)
+
+(* --- crash after the update ---------------------------------------------- *)
+
+let test_updated_then_killed_is_swept () =
+  let fleet = boot_under_load ~size:5 () in
+  let orch =
+    F.Orchestrator.create
+      ~params:(heal_orch_params ())
+      ~fleet ~to_version:"5.1.2" ()
+  in
+  let sup = F.Supervisor.create ~params:heal_params ~fleet () in
+  (* instance 0 took the first wave and serves the new version; the rest
+     of the fleet is still on the old one *)
+  drive_until ~fleet ~orch ~sup (fun () ->
+      let i = F.Fleet.instance fleet 0 in
+      i.F.Instance.i_version = "5.1.2"
+      && i.F.Instance.i_status = F.Instance.In_service);
+  F.Fleet.set_faults fleet (Some (kill_plan "vm.crash=kill@1.0x1"));
+  (* the restart catches the victim up to the plurality: the old version *)
+  drive_until ~fleet ~orch ~sup (fun () ->
+      List.mem 0 (F.Supervisor.recovered sup));
+  Alcotest.(check string) "restart caught up to the old plurality" "5.1.1"
+    (F.Fleet.instance fleet 0).F.Instance.i_version;
+  let r = drive ~fleet ~orch ~sup in
+  Alcotest.(check bool) "rollout ok" true r.F.Orchestrator.r_ok;
+  Alcotest.(check (option string)) "fleet uniform on the new version"
+    (Some "5.1.2")
+    (F.Fleet.uniform_version fleet);
+  Alcotest.(check bool) "victim counted updated once" true
+    (List.filter (( = ) 0) r.F.Orchestrator.r_updated = [ 0 ]);
+  Alcotest.(check int) "full strength" 5 (F.Supervisor.alive sup)
 
 (* --- mid-guard-window crash --------------------------------------------- *)
 
@@ -371,6 +406,8 @@ let suite =
       test_steady_state_crash;
     Alcotest.test_case "mid-update crash: quarantined then reconciled" `Quick
       test_mid_update_crash_reconciled;
+    Alcotest.test_case "crash after the update: swept forward again" `Quick
+      test_updated_then_killed_is_swept;
     Alcotest.test_case "mid-guard-window crash: catch-up to reverted epoch"
       `Quick test_mid_guard_window_crash;
     Alcotest.test_case "ministore snapshot round-trip + checksum" `Quick

@@ -181,6 +181,38 @@ let gc_reclaims_garbage () =
   let used_after = VM.Heap.words_used vm.VM.State.heap in
   Alcotest.(check bool) "reclaimed" true (used_after < used_before / 10)
 
+(* Collections zero only the idle space's used extent; the words past it
+   must still be zero, or fresh objects would not start at default values.
+   Live sets grow and shrink across cycles, so the extents differ. *)
+let gc_leaves_idle_space_zeroed () =
+  let vm = fresh_vm ~heap_words:8192 () in
+  let heap = vm.VM.State.heap in
+  let cls = node_cls vm in
+  let keep = ref [] in
+  for cycle = 1 to 12 do
+    let n = if cycle mod 3 = 0 then 10 else 150 + (40 * cycle) in
+    for i = 1 to n do
+      let a = VM.State.alloc_object vm cls in
+      set_field vm a 0 (VM.Value.of_int (i + cycle));
+      set_field vm a 1 (VM.Value.of_ref a);
+      if i mod 4 = 0 then keep := a :: !keep
+    done;
+    let roots =
+      Array.of_list
+        (List.filteri (fun i _ -> i < 8 * cycle) (List.map VM.Value.of_ref !keep))
+    in
+    vm.VM.State.extra_roots <- [ roots ];
+    ignore (VM.Gc.collect vm);
+    keep := List.map VM.Value.to_ref (Array.to_list roots);
+    Alcotest.(check bool)
+      (Printf.sprintf "idle space zero after cycle %d" cycle)
+      true
+      (Array.for_all (( = ) 0) heap.VM.Heap.other);
+    let fresh = VM.State.alloc_object vm cls in
+    Alcotest.(check (list int)) "fresh object starts at defaults" [ 0; 0; 0 ]
+      (List.init 3 (get_field vm fresh))
+  done
+
 let gc_rewrites_thread_roots () =
   (* a local variable holding a reference must still point at the moved
      object after collection *)
@@ -382,6 +414,8 @@ let suite =
     Alcotest.test_case "gc preserves graph" `Quick gc_preserves_graph;
     QCheck_alcotest.to_alcotest gc_preserves_graph_qcheck;
     Alcotest.test_case "gc reclaims garbage" `Quick gc_reclaims_garbage;
+    Alcotest.test_case "gc leaves the idle space zeroed" `Quick
+      gc_leaves_idle_space_zeroed;
     Alcotest.test_case "gc rewrites thread roots" `Quick
       gc_rewrites_thread_roots;
     Alcotest.test_case "transform plan and update log" `Quick
